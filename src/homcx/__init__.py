@@ -1,6 +1,5 @@
 """Hom complexes of graphs: cells, homology, and chromatic constructions."""
 
-from ._kernels import BACKEND
 from .builders import (
     build_named,
     chi4_girth5_graph,
@@ -62,6 +61,10 @@ from .homs import (
 )
 
 __version__ = "0.1.0"
+
+# The kernel implementation, reported by run logs and benchmark reports;
+# the pure-Python kernels are the only ones.
+BACKEND = "pure"
 
 __all__ = [
     "BACKEND",

@@ -1,27 +1,6 @@
-"""Kernel backend selection.
+"""The hot kernels: homomorphism search, Smith reduction and Morse
+reduction of chain complexes, implemented in ``_pure``."""
 
-The compiled Cython extension is used when it is importable; setting
-HOMCX_PURE=1 (any nonempty value) forces the pure-Python fallback.
-"""
+from ._pure import reduce_chain_complex, search_homs, smith_form, snf_diagonal
 
-import os
-
-if os.environ.get("HOMCX_PURE"):
-    from . import _pure as _impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _pure as _impl
-
-        BACKEND = "pure"
-
-search_homs = _impl.search_homs
-snf_diagonal = _impl.snf_diagonal
-reduce_chain_complex = _impl.reduce_chain_complex
-
-__all__ = ["BACKEND", "search_homs", "snf_diagonal", "reduce_chain_complex"]
+__all__ = ["search_homs", "smith_form", "snf_diagonal", "reduce_chain_complex"]

@@ -3,7 +3,7 @@
 Two inner loops dominate the whole library: backtracking enumeration of
 graph homomorphisms and integer reduction of boundary matrices.  Both are
 implemented here on plain Python ints (vertex sets as bitmasks, exact
-arbitrary-precision matrix entries) and mirrored by the compiled backend.
+arbitrary-precision matrix entries).
 """
 
 from __future__ import annotations
@@ -142,83 +142,135 @@ def snf_diagonal(columns, nrows):
 
     diag = [1] * units
     if row_data:
-        diag.extend(_dense_snf(row_data))
+        live_cols = sorted({c for row in row_data.values() for c in row})
+        rows = {r: i for i, r in enumerate(sorted(row_data))}
+        cols = {c: j for j, c in enumerate(live_cols)}
+        dense = [[0] * len(cols) for _ in rows]
+        for r, row in row_data.items():
+            for c, v in row.items():
+                dense[rows[r]][cols[c]] = v
+        diag.extend(smith_form(dense, len(cols))[0])
     diag.sort()
     return diag
 
 
-def _dense_snf(row_data):
-    """Invariant factors of a small dense remainder, min-abs-value pivot."""
-    rows = sorted(row_data)
-    cols = sorted({c for row in row_data.values() for c in row})
-    ri = {r: i for i, r in enumerate(rows)}
-    ci = {c: j for j, c in enumerate(cols)}
-    m, n = len(rows), len(cols)
-    a = [[0] * n for _ in range(m)]
-    for r, row in row_data.items():
-        for c, v in row.items():
-            a[ri[r]][ci[c]] = v
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    diag = []
+
+def smith_form(a, n, track_rows=False, track_cols=False):
+    """Smith reduction of a dense integer matrix, minimal-absolute-value pivot.
+
+    ``a`` is an m x n matrix as a list of m rows; it is reduced in place.
+    Returns (diag, U, Uinv, V, Vinv) with U*A*V diagonal: ``diag`` lists
+    the nonzero invariant factors, each dividing the next, and untracked
+    transforms are None.
+    """
+    m = len(a)
+    U = _identity(m) if track_rows else None
+    Uinv = _identity(m) if track_rows else None
+    V = _identity(n) if track_cols else None
+    Vinv = _identity(n) if track_cols else None
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
+            for r in Uinv:
+                r[i], r[j] = r[j], r[i]
+
+    def row_add(i, j, f):
+        # row i += f * row j
+        ai, aj = a[i], a[j]
+        for t in range(n):
+            ai[t] += f * aj[t]
+        if U is not None:
+            ui, uj = U[i], U[j]
+            for t in range(m):
+                ui[t] += f * uj[t]
+            for r in Uinv:
+                r[j] -= f * r[i]
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        if V is not None:
+            for r in V:
+                r[i], r[j] = r[j], r[i]
+            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def row_negate(i):
+        a[i] = [-x for x in a[i]]
+        if U is not None:
+            U[i] = [-x for x in U[i]]
+            for r in Uinv:
+                r[i] = -r[i]
+
+    def col_add(i, j, f):
+        # col i += f * col j
+        for r in a:
+            r[i] += f * r[j]
+        if V is not None:
+            for r in V:
+                r[i] += f * r[j]
+            vi, vj = Vinv[i], Vinv[j]
+            for t in range(n):
+                vj[t] -= f * vi[t]
+
     top = 0
-    while True:
-        # pick the nonzero entry of minimal absolute value
+    diag = []
+    while top < m and top < n:
         pivot = None
         best = None
         for i in range(top, m):
+            ai = a[i]
             for j in range(top, n):
-                v = a[i][j]
+                v = ai[j]
                 if v and (best is None or abs(v) < best):
                     best = abs(v)
                     pivot = (i, j)
         if pivot is None:
             break
         pi, pj = pivot
-        a[top], a[pi] = a[pi], a[top]
-        for row in a:
-            row[top], row[pj] = row[pj], row[top]
+        if pi != top:
+            row_swap(top, pi)
+        if pj != top:
+            col_swap(top, pj)
         p = a[top][top]
         dirty = False
         for i in range(top + 1, m):
             q = a[i][top]
             if q:
-                f = q // p
-                if f:
-                    for j in range(top, n):
-                        a[i][j] -= f * a[top][j]
+                row_add(i, top, -(q // p))
                 if a[i][top]:
                     dirty = True
         for j in range(top + 1, n):
             q = a[top][j]
             if q:
-                f = q // p
-                if f:
-                    for i in range(top, m):
-                        a[i][j] -= f * a[i][top]
+                col_add(j, top, -(q // p))
                 if a[top][j]:
                     dirty = True
         if dirty:
             continue  # smaller remainders appeared; re-pick the pivot
         # divisibility fixup: p must divide every remaining entry
-        fixed = True
+        ok = True
         for i in range(top + 1, m):
+            ai = a[i]
             for j in range(top + 1, n):
-                if a[i][j] % p:
-                    # fold row i into the pivot row and restart this step
-                    for jj in range(top, n):
-                        a[top][jj] += a[i][jj]
-                    fixed = False
+                if ai[j] % p:
+                    # fold row i into the pivot row and redo this step
+                    row_add(top, i, 1)
+                    ok = False
                     break
-            if not fixed:
+            if not ok:
                 break
-        if not fixed:
+        if not ok:
             continue
+        if p < 0:
+            row_negate(top)
         diag.append(abs(p))
         top += 1
-        if top >= m or top >= n:
-            break
-    # earlier invariant factors divide later ones by construction
-    return diag
+    return diag, U, Uinv, V, Vinv
 
 
 def reduce_chain_complex(ranks, cols):

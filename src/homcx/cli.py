@@ -93,8 +93,12 @@ def _load_member(path: str) -> FamilyMember:
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".homcx-")
+    # mkstemp creates the file 0600; give it the mode open() would
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

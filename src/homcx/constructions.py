@@ -582,7 +582,9 @@ def covering_split(
     a_set = frozenset(a_vertices)
     b_set = frozenset(b_vertices)
     overlap = sorted(a_set & b_set)
-    k = complex or enumerate_cells(t, h, cap=cap)
+    k = complex
+    if k is None:
+        k = enumerate_cells(t, h, cap=cap)
     in_a = in_b = in_both = 0
     union_ok = True
     for cell in k.cells:

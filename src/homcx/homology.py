@@ -230,123 +230,6 @@ def order_complex_homology(
 # -- homology with explicit generators and induced maps ------------------
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _snf_transforms(mat: list[list[int]], track_rows: bool, track_cols: bool):
-    """Smith reduction of a dense matrix.
-
-    Returns (diag, U, Uinv, V, Vinv) with U*M*V diagonal; untracked
-    transforms are returned as None.  Minimal-absolute-value pivoting.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [row[:] for row in mat]
-    U = _identity(m) if track_rows else None
-    Uinv = _identity(m) if track_rows else None
-    V = _identity(n) if track_cols else None
-    Vinv = _identity(n) if track_cols else None
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-            for r in Uinv:
-                r[i], r[j] = r[j], r[i]
-
-    def row_add(i, j, f):
-        # row i += f * row j
-        ai, aj = a[i], a[j]
-        for t in range(n):
-            ai[t] += f * aj[t]
-        if U is not None:
-            ui, uj = U[i], U[j]
-            for t in range(m):
-                ui[t] += f * uj[t]
-            for r in Uinv:
-                r[j] -= f * r[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        if V is not None:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
-            for r in Uinv:
-                r[i] = -r[i]
-
-    def col_add(i, j, f):
-        # col i += f * col j
-        for r in a:
-            r[i] += f * r[j]
-        if V is not None:
-            for r in V:
-                r[i] += f * r[j]
-            vi, vj = Vinv[i], Vinv[j]
-            for t in range(n):
-                vj[t] -= f * vi[t]
-
-    top = 0
-    diag = []
-    while top < m and top < n:
-        pivot = None
-        best = None
-        for i in range(top, m):
-            ai = a[i]
-            for j in range(top, n):
-                v = ai[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != top:
-            row_swap(top, pi)
-        if pj != top:
-            col_swap(top, pj)
-        p = a[top][top]
-        dirty = False
-        for i in range(top + 1, m):
-            q = a[i][top]
-            if q:
-                row_add(i, top, -(q // p))
-                if a[i][top]:
-                    dirty = True
-        for j in range(top + 1, n):
-            q = a[top][j]
-            if q:
-                col_add(j, top, -(q // p))
-                if a[top][j]:
-                    dirty = True
-        if dirty:
-            continue
-        ok = True
-        for i in range(top + 1, m):
-            ai = a[i]
-            for j in range(top + 1, n):
-                if ai[j] % p:
-                    row_add(top, i, 1)
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if p < 0:
-            row_negate(top)
-        diag.append(abs(p))
-        top += 1
-    return diag, U, Uinv, V, Vinv
-
-
 def _matvec(mat: list[list[int]], x: Sequence[int]) -> list[int]:
     return [sum(r * v for r, v in zip(row, x) if v) for row in mat]
 
@@ -391,17 +274,12 @@ class _DimHomologyBasis:
             self.tor_orders = []
             return
         lower = c.ranks[d - 1] if d >= 1 else 0
-        if lower == 0:
-            V = _identity(n_d)
-            Vinv = _identity(n_d)
-            r = 0
-        else:
-            bnd = [[0] * n_d for _ in range(lower)]
-            for j, col in enumerate(c.boundaries[d]):
-                for i, v in col.items():
-                    bnd[i][j] = v
-            diag, _, _, V, Vinv = _snf_transforms(bnd, False, True)
-            r = len([x for x in diag if x])
+        bnd = [[0] * n_d for _ in range(lower)]
+        for j, col in enumerate(c.boundaries[d]):
+            for i, v in col.items():
+                bnd[i][j] = v
+        diag, _, _, V, Vinv = _kernels.smith_form(bnd, n_d, track_cols=True)
+        r = len(diag)
         self.rank_bnd = r
         self.kernel_rank = n_d - r
         self.V = V
@@ -417,8 +295,8 @@ class _DimHomologyBasis:
             assert all(y[i] == 0 for i in range(r)), "image not in kernel"
             for i in range(self.kernel_rank):
                 A[i][j] = y[r + i]
-        diag2, U2, U2inv, _, _ = _snf_transforms(A, True, False)
-        self.r2 = len([x for x in diag2 if x])
+        diag2, U2, U2inv, _, _ = _kernels.smith_form(A, upper, track_rows=True)
+        self.r2 = len(diag2)
         self.orders = diag2
         self.U2 = U2
         self.U2inv = U2inv

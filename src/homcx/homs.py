@@ -293,8 +293,12 @@ def pushforward(
 ) -> CellMap:
     """The cell map Hom(t, f.domain) -> Hom(t, f.codomain) sending
     eta to x |-> f(eta(x)).  May decrease dimension."""
-    k1 = source_complex or enumerate_cells(t, f.domain, cap=cap)
-    k2 = target_complex or enumerate_cells(t, f.codomain, cap=cap)
+    k1 = source_complex
+    if k1 is None:
+        k1 = enumerate_cells(t, f.domain, cap=cap)
+    k2 = target_complex
+    if k2 is None:
+        k2 = enumerate_cells(t, f.codomain, cap=cap)
     images = []
     for cell in k1.cells:
         image = tuple(
@@ -313,8 +317,12 @@ def pullback(
 ) -> CellMap:
     """The cell map Hom(u.codomain, g) -> Hom(u.domain, g) sending
     eta to eta o u."""
-    k1 = source_complex or enumerate_cells(u.codomain, g, cap=cap)
-    k2 = target_complex or enumerate_cells(u.domain, g, cap=cap)
+    k1 = source_complex
+    if k1 is None:
+        k1 = enumerate_cells(u.codomain, g, cap=cap)
+    k2 = target_complex
+    if k2 is None:
+        k2 = enumerate_cells(u.domain, g, cap=cap)
     images = []
     for cell in k1.cells:
         image = tuple(cell.assignment[u.mapping[x]] for x in range(u.domain.n))
@@ -417,7 +425,9 @@ def z2_structure(
 ) -> Z2Report:
     if alpha.graph != t:
         raise NotAnInvolutionError("involution is not on the source graph")
-    k = complex or enumerate_cells(t, g, cap=cap)
+    k = complex
+    if k is None:
+        k = enumerate_cells(t, g, cap=cap)
     action = pullback(alpha.map, g, source_complex=k, target_complex=k)
     fixed = sum(1 for i, j in enumerate(action.images) if i == j)
     dim_ok = all(

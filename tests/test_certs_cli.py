@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -120,6 +122,19 @@ def test_cli_construct_and_verify_looped(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", out]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_construct_out_follows_umask(tmp_path):
+    fam = graph_file(tmp_path, "k2.json", complete_graph(2))
+    loop = graph_file(tmp_path, "loop.json", Graph(2, [(0, 0), (0, 1)]))
+    out = tmp_path / "cert.json"
+    old = os.umask(0o022)
+    try:
+        argv = ["construct", "--family", fam, "--g", loop, "--n", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
 def test_cli_verify_tampered_fails(tmp_path, capsys, looped_cert_text):

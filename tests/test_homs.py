@@ -150,3 +150,25 @@ def test_z2_action_not_free_without_flip():
     # the antipodal rotation of C_4 is not flipping and fixes cells
     assert not rep.flipping
     assert not rep.free
+
+
+def test_empty_precomputed_complex_is_used(monkeypatch):
+    # Hom(K3, K2) is empty; passing it in must not trigger enumeration
+    k3, k2 = complete_graph(3), complete_graph(2)
+    empty = enumerate_cells(k3, k2)
+    assert len(empty) == 0
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("precomputed complex was re-enumerated")
+
+    monkeypatch.setattr("homcx.homs.enumerate_cells", no_enumeration)
+    ident = GraphHom.identity(k2)
+    pf = pushforward(ident, k3, source_complex=empty, target_complex=empty)
+    assert pf.source is empty and pf.target is empty
+    pb = pullback(
+        GraphHom.identity(k3), k2, source_complex=empty, target_complex=empty
+    )
+    assert pb.source is empty and pb.target is empty
+    rot = Involution(k3, GraphHom(k3, k3, [1, 0, 2]))
+    rep = z2_structure(k3, rot, k2, complex=empty)
+    assert rep.action.source is empty and rep.free

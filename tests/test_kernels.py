@@ -1,106 +1,71 @@
-"""Backend parity: the compiled kernels must match the pure ones."""
+"""The hot kernels: the homomorphism search cap and the Smith diagonal."""
 
-import os
-import random
-import subprocess
-import sys
+import itertools
+import math
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-from homcx._kernels import BACKEND, _pure
+import homcx
+from homcx._kernels import search_homs, smith_form, snf_diagonal
+from homcx.homology import _det
 
-try:
-    from homcx._kernels import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(
-    _speedups is None, reason="compiled extension not built"
+non_units = st.integers(-9, 9).filter(lambda v: v not in (1, -1))
+# lists of rows, at most 5 x 5
+matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(non_units, min_size=n, max_size=n), min_size=1, max_size=5
+    )
 )
 
 
-def random_sparse_columns(rng, m, n):
-    cols = []
-    for _ in range(n):
-        rows = rng.sample(range(m), rng.randrange(0, m + 1))
-        cols.append({r: rng.randrange(-5, 6) for r in rows})
-    return cols
+def test_search_homs_returns_none_past_cap():
+    # three isolated source vertices into K3 with loops: 27 maps
+    args = ([[], [], []], [False] * 3, [7, 7, 7], 7, 3)
+    assert len(search_homs(*args, 27)) == 27
+    assert search_homs(*args, 26) is None
+    assert search_homs(*args, 5) is None
 
 
-@needs_compiled
-def test_snf_diagonal_agreement():
-    rng = random.Random(31)
-    for _ in range(400):
-        m = rng.randrange(1, 7)
-        n = rng.randrange(1, 7)
-        cols = random_sparse_columns(rng, m, n)
-        assert _speedups.snf_diagonal(cols, m) == _pure.snf_diagonal(cols, m)
+@settings(max_examples=200, deadline=None)
+@given(matrices)
+def test_snf_diagonal_matches_determinantal_divisors(rows):
+    m, n = len(rows), len(rows[0])
+    columns = [{i: rows[i][j] for i in range(m) if rows[i][j]} for j in range(n)]
+    diag = snf_diagonal(columns, m)
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0
+    for k in range(1, min(m, n) + 1):
+        divisor = 0
+        for ri in itertools.combinations(range(m), k):
+            for ci in itertools.combinations(range(n), k):
+                minor = [[rows[i][j] for j in ci] for i in ri]
+                divisor = math.gcd(divisor, _det(minor))
+        if k <= len(diag):
+            assert math.prod(diag[:k]) == divisor
+        else:
+            assert divisor == 0
 
 
-@needs_compiled
-def test_search_homs_agreement():
-    rng = random.Random(32)
-    for _ in range(150):
-        n_t = rng.randrange(1, 5)
-        n_g = rng.randrange(1, 6)
-        next_adj = [
-            sorted(set(rng.sample(range(i + 1, n_t), rng.randrange(0, n_t - i))))
-            for i in range(n_t)
-        ]
-        t_loop = [rng.random() < 0.2 for _ in range(n_t)]
-        g_adj = [rng.getrandbits(n_g) for _ in range(n_g)]
-        # make adjacency symmetric as a bitmask relation
-        for u in range(n_g):
-            for v in range(n_g):
-                if g_adj[u] >> v & 1:
-                    g_adj[v] |= 1 << u
-        loop_mask = 0
-        for v in range(n_g):
-            if g_adj[v] >> v & 1:
-                loop_mask |= 1 << v
-        args = (next_adj, t_loop, g_adj, loop_mask, n_g, 10_000)
-        assert sorted(_speedups.search_homs(*args)) == sorted(
-            _pure.search_homs(*args)
-        )
-
-
-@needs_compiled
-def test_search_homs_cap_agreement():
-    # both backends must report overflow identically
-    next_adj = [[], [], []]
-    g_adj = [7, 7, 7]
-    args = (next_adj, [False] * 3, g_adj, 0, 3, 5)
-    assert _speedups.search_homs(*args) is None
-    assert _pure.search_homs(*args) is None
-
-
-@needs_compiled
-def test_reduce_chain_complex_agreement():
-    from homcx.builders import complete_graph, cycle_graph
-    from homcx.homology import cellular_chain_complex
-    from homcx.homs import enumerate_cells
-
-    for t, g in [
-        (complete_graph(2), complete_graph(5)),
-        (cycle_graph(4), complete_graph(3)),
-        (cycle_graph(5), complete_graph(4)),
-    ]:
-        c = cellular_chain_complex(enumerate_cells(t, g))
-        assert _speedups.reduce_chain_complex(
-            c.ranks, c.boundaries
-        ) == _pure.reduce_chain_complex(c.ranks, c.boundaries)
-
-
-def test_pure_env_forces_fallback():
-    env = dict(os.environ, HOMCX_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import homcx; print(homcx.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
+@settings(max_examples=100, deadline=None)
+@given(matrices)
+def test_smith_form_transforms_diagonalize(rows):
+    m, n = len(rows), len(rows[0])
+    diag, U, Uinv, V, Vinv = smith_form(
+        [r[:] for r in rows], n, track_rows=True, track_cols=True
     )
-    assert out.stdout.strip() == "pure"
+
+    def mul(x, y):
+        return [[sum(a * b for a, b in zip(r, c)) for c in zip(*y)] for r in x]
+
+    d = mul(mul(U, rows), V)
+    assert all(
+        d[i][j] == (diag[i] if i == j and i < len(diag) else 0)
+        for i in range(m)
+        for j in range(n)
+    )
+    assert mul(U, Uinv) == [[int(i == j) for j in range(m)] for i in range(m)]
+    assert mul(V, Vinv) == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_backend_reported():
-    assert BACKEND in ("pure", "compiled")
+    assert homcx.BACKEND == "pure"
