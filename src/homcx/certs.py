@@ -15,7 +15,9 @@ from typing import Optional
 from .coloring import DEFAULT_NODE_BUDGET, chromatic_number
 from .constructions import (
     FamilyMember,
+    _verdict,
     _verify_member,
+    _z2_summary,
     cylinder_sweep_order,
     uniformly_small_m,
 )
@@ -175,23 +177,8 @@ def verify_certificate(
             if not all(report.z2):
                 problems.append(f"z2.{member.name}")
 
-    if z2_triples:
-        expected_z2 = {
-            "free_G": all(t[0] for t in z2_triples),
-            "free_H": all(t[1] for t in z2_triples),
-            "equivariant": all(t[2] for t in z2_triples),
-        }
-    else:
-        expected_z2 = {"free_G": None, "free_H": None, "equivariant": None}
-    if cert.z2 != expected_z2:
+    if cert.z2 != _z2_summary(z2_triples):
         problems.append("z2")
-
-    if problems:
-        expected_verdict = "failed"
-    elif skipped:
-        expected_verdict = "partial"
-    else:
-        expected_verdict = "consistent"
-    if cert.verdict != expected_verdict and not problems:
+    if not problems and cert.verdict != _verdict(False, skipped):
         problems.append("verdict")
     return problems

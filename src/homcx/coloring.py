@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-import random
 from typing import Optional, Sequence
 
-from .errors import ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 from .graphs import Graph, GraphHom, is_bipartite
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -40,42 +39,6 @@ def greedy_coloring(g: Graph) -> list[int]:
         for w in adj[v]:
             sat[w].add(c)
     return colors
-
-
-def _local_k_coloring(
-    g: Graph, k: int, restarts: int = 20, steps: Optional[int] = None
-) -> Optional[list[int]]:
-    """Min-conflicts search for a k-coloring; fixed seed for determinism.
-
-    Success yields a verified proper coloring (a valid upper-bound
-    witness); failure proves nothing and the exhaustive search decides.
-    """
-    adj = [sorted(g.adjacency[v] - {v}) for v in range(g.n)]
-    if steps is None:
-        steps = 300 * g.n + 2000
-    rng = random.Random(0xC010D)
-    for _ in range(restarts):
-        colors = [rng.randrange(k) for _ in range(g.n)]
-        conflicted = {
-            v for v in range(g.n)
-            if any(colors[w] == colors[v] for w in adj[v])
-        }
-        for _ in range(steps):
-            if not conflicted:
-                return colors
-            v = rng.choice(tuple(conflicted))
-            counts = [0] * k
-            for w in adj[v]:
-                counts[colors[w]] += 1
-            best = min(counts)
-            choices = [c for c in range(k) if counts[c] == best]
-            colors[v] = rng.choice(choices)
-            for u in (v, *adj[v]):
-                if any(colors[w] == colors[u] for w in adj[u]):
-                    conflicted.add(u)
-                else:
-                    conflicted.discard(u)
-    return None
 
 
 def _ordered_k_coloring(
@@ -192,9 +155,14 @@ def chromatic_number(
 ):
     """Exact chromatic number; math.inf for graphs with a loop.
 
-    ``order_hint`` selects a fixed-order forward-checked search instead
-    of DSATUR branch and bound; both are complete.
+    ``order_hint``, a permutation of the vertices, selects a fixed-order
+    forward-checked search instead of DSATUR branch and bound; both are
+    complete.
     """
+    if order_hint is not None and sorted(order_hint) != list(range(g.n)):
+        raise InvalidParameterError(
+            "order_hint must be a permutation of the vertices"
+        )
     if g.has_loop():
         return math.inf
     if g.n == 0:
@@ -207,17 +175,11 @@ def chromatic_number(
     upper = max(greedy_coloring(g)) + 1
     budget = [node_budget]
     for k in range(lower, upper):
-        if order_hint is not None:
-            if _ordered_k_coloring(g, k, order_hint, budget) is not None:
-                return k
-            continue
-        witness = _local_k_coloring(g, k)
-        if witness is not None:
-            assert all(
-                witness[u] != witness[v] for u, v in g.edges
-            )  # the local search only returns proper colorings
-            return k
-        if _k_coloring(g, k, budget) is not None:
+        if order_hint is None:
+            colors = _k_coloring(g, k, budget)
+        else:
+            colors = _ordered_k_coloring(g, k, order_hint, budget)
+        if colors is not None:
             return k
     return upper
 

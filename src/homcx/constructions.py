@@ -35,7 +35,6 @@ from .graphs import (
 )
 from .homs import (
     DEFAULT_CELL_CAP,
-    CellMap,
     HomComplex,
     enumerate_cells,
     enumerate_homs,
@@ -667,6 +666,18 @@ def _chi_json(value) -> object:
     return "inf" if value == math.inf else int(value)
 
 
+def _z2_summary(triples: Sequence[tuple[bool, bool, bool]]) -> dict:
+    """The certificate's ``z2`` field from the members' (free on G,
+    free on H, equivariant) triples; all None when no member has one."""
+    if not triples:
+        return {"free_G": None, "free_H": None, "equivariant": None}
+    return {
+        "free_G": all(t[0] for t in triples),
+        "free_H": all(t[1] for t in triples),
+        "equivariant": all(t[2] for t in triples),
+    }
+
+
 def certificate_json_obj(cert: PipelineCertificate) -> dict:
     profiles = {}
     for r in cert.members:
@@ -677,15 +688,6 @@ def certificate_json_obj(cert: PipelineCertificate) -> dict:
             }
         else:
             profiles[r.name] = "unverified"
-    z2_triples = [r.z2 for r in cert.members if r.z2 is not None]
-    if z2_triples:
-        z2 = {
-            "free_G": all(t[0] for t in z2_triples),
-            "free_H": all(t[1] for t in z2_triples),
-            "equivariant": all(t[2] for t in z2_triples),
-        }
-    else:
-        z2 = {"free_G": None, "free_H": None, "equivariant": None}
     return {
         "family": [
             {
@@ -705,7 +707,7 @@ def certificate_json_obj(cert: PipelineCertificate) -> dict:
         "chiH": _chi_json(cert.chi_h),
         "seed": cert.seed,
         "profiles": profiles,
-        "z2": z2,
+        "z2": _z2_summary([r.z2 for r in cert.members if r.z2 is not None]),
         "verdict": cert.verdict,
         "graphs": {
             "G": cert.g.to_json_obj(),

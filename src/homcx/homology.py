@@ -11,7 +11,7 @@ with homotopy equivalence, never a proof of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import _kernels
 from .errors import InvalidParameterError, ResourceLimitError
@@ -82,14 +82,6 @@ class ChainComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * r for d, r in enumerate(self.ranks))
-
-    def to_sparse_triplets(self, d: int) -> str:
-        """Boundary matrix d in audit-friendly 'row col value' lines."""
-        lines = []
-        for j, col in enumerate(self.boundaries[d]):
-            for i in sorted(col):
-                lines.append(f"{i} {j} {col[i]}")
-        return "\n".join(lines)
 
 
 def cellular_chain_complex(k: HomComplex) -> ChainComplex:

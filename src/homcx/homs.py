@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import _kernels
 from .errors import (
@@ -66,10 +66,6 @@ class MultiHom:
             raise InvalidParameterError("only dimension-0 cells are maps")
         return GraphHom(self.source, self.target, tuple(s[0] for s in self.assignment))
 
-    @staticmethod
-    def from_hom(f: GraphHom) -> "MultiHom":
-        return MultiHom(f.domain, f.codomain, tuple((x,) for x in f.mapping))
-
 
 def _cell_key(assignment: tuple[tuple[int, ...], ...]) -> tuple:
     return (sum(len(s) - 1 for s in assignment), assignment)
@@ -110,12 +106,6 @@ class HomComplex:
     def cells_of_dim(self, d: int) -> list[int]:
         return [i for i, dd in enumerate(self.dim_of) if dd == d]
 
-    def index_of(self, assignment) -> int:
-        return self.index[tuple(tuple(sorted(set(s))) for s in assignment)]
-
-    def homs(self) -> list[GraphHom]:
-        return [c.to_hom() for c in self.cells if c.dim == 0]
-
     def facets(self, i: int):
         """Indices of the codimension-1 faces of cell i."""
         assignment = self.cells[i].assignment
@@ -127,15 +117,6 @@ class HomComplex:
                 face = assignment[:v] + (s[:t] + s[t + 1:],) + assignment[v + 1:]
                 out.append(self.index[face])
         return out
-
-    def to_jsonl(self) -> str:
-        """Cell dump, one cell per line as array-of-sorted-arrays."""
-        import json
-
-        return "\n".join(
-            json.dumps([list(s) for s in c.assignment], separators=(",", ":"))
-            for c in self.cells
-        )
 
 
 def _bfs_order(g: Graph) -> list[int]:
@@ -279,10 +260,6 @@ class CellMap:
             tuple(self.images[k] for k in inner.images),
         )
 
-    @staticmethod
-    def identity(k: HomComplex) -> "CellMap":
-        return CellMap(k, k, tuple(range(len(k))))
-
 
 def pushforward(
     f: GraphHom,
@@ -406,13 +383,14 @@ class Involution:
 
 @dataclass(frozen=True)
 class Z2Report:
-    """The Z_2 action eta |-> eta o alpha on Hom(T, G)."""
+    """The Z_2 action eta |-> eta o alpha on Hom(T, G).
+
+    A pullback along a graph map is an order- and dimension-preserving
+    cell map by construction, so only freeness is recorded.
+    """
 
     flipping: bool
     free: bool
-    fixed_cells: int
-    order_preserving: bool
-    dimension_preserving: bool
     action: CellMap
 
 
@@ -429,15 +407,8 @@ def z2_structure(
     if k is None:
         k = enumerate_cells(t, g, cap=cap)
     action = pullback(alpha.map, g, source_complex=k, target_complex=k)
-    fixed = sum(1 for i, j in enumerate(action.images) if i == j)
-    dim_ok = all(
-        k.dim_of[i] == k.dim_of[j] for i, j in enumerate(action.images)
-    )
     return Z2Report(
         flipping=alpha.flipping,
-        free=(fixed == 0),
-        fixed_cells=fixed,
-        order_preserving=action.is_order_preserving(),
-        dimension_preserving=dim_ok,
+        free=all(i != j for i, j in enumerate(action.images)),
         action=action,
     )

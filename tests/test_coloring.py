@@ -1,8 +1,10 @@
 """Exact chromatic number solver and helpers."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homcx.builders import (
     chi4_girth5_graph,
@@ -14,12 +16,14 @@ from homcx.builders import (
     walker_graph_2,
 )
 from homcx.coloring import (
+    _k_coloring,
+    _ordered_k_coloring,
     chromatic_number,
     coloring_hom,
     greedy_clique,
     greedy_coloring,
 )
-from homcx.errors import ResourceLimitError
+from homcx.errors import InvalidParameterError, ResourceLimitError
 from homcx.graphs import Graph
 
 
@@ -79,3 +83,61 @@ def test_node_budget_enforced():
     g = chi4_girth5_graph()
     with pytest.raises(ResourceLimitError):
         chromatic_number(g, 1)
+
+
+def test_order_hint_must_be_a_permutation():
+    g = chi4_girth5_graph()
+    for hint in ([0] * g.n, list(range(g.n + 1)), list(range(g.n - 1)), []):
+        with pytest.raises(InvalidParameterError):
+            chromatic_number(g, order_hint=hint)
+    with pytest.raises(InvalidParameterError):
+        chromatic_number(path_graph(3), order_hint=[0, 1, 1])
+
+
+def _partitions(n):
+    """Every partition of range(n) as a restricted growth string."""
+    if n == 0:
+        yield ()
+        return
+    for head in _partitions(n - 1):
+        for c in range(max(head, default=-1) + 2):
+            yield head + (c,)
+
+
+def brute_chromatic_number(g):
+    """Fewest blocks over all partitions of the vertices into
+    independent sets."""
+    return min(
+        max(colors, default=-1) + 1
+        for colors in _partitions(g.n)
+        if all(colors[u] != colors[v] for u, v in g.edges)
+    )
+
+
+@st.composite
+def graphs_with_orders(draw, max_n=8):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+    return g, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_orders())
+def test_chromatic_number_matches_brute_force(case):
+    g, order = case
+    expected = brute_chromatic_number(g)
+    assert chromatic_number(g) == expected
+    assert chromatic_number(g, order_hint=order) == expected
+    # each exact search alone decides every k, whatever the greedy bounds
+    for search in (
+        lambda k: _k_coloring(g, k, [10**6]),
+        lambda k: _ordered_k_coloring(g, k, order, [10**6]),
+    ):
+        colors = search(expected)
+        assert colors is not None
+        assert all(0 <= c < expected for c in colors)
+        assert all(colors[u] != colors[v] for u, v in g.edges)
+        if expected > 0:
+            assert search(expected - 1) is None

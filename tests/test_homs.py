@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homcx.builders import (
     complete_graph,
@@ -134,13 +135,48 @@ def test_involution_flipping_flag():
     assert not ident.flipping
 
 
+def _assert_free_z2_action(rep):
+    action = rep.action
+    k = action.source
+    assert action.target is k
+    assert sorted(action.images) == list(range(len(k)))
+    assert action.is_order_preserving()
+    assert all(k.dim_of[i] == k.dim_of[j] for i, j in enumerate(action.images))
+    assert all(i != j for i, j in enumerate(action.images))
+    assert rep.free
+
+
 def test_z2_action_free_on_box_complex():
     k2 = complete_graph(2)
     swap = Involution(k2, GraphHom(k2, k2, [1, 0]))
     rep = z2_structure(k2, swap, cycle_graph(5))
-    assert rep.flipping and rep.free
-    assert rep.fixed_cells == 0
-    assert rep.order_preserving and rep.dimension_preserving
+    assert rep.flipping
+    _assert_free_z2_action(rep)
+
+
+@st.composite
+def loopless_graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+# (T, flipping involution of T, largest G); Hom(C5, K5) has 45,540 cells
+flipping_involutions = [
+    (complete_graph(2), [1, 0], 6),
+    (cycle_graph(5), [0, 4, 3, 2, 1], 4),
+]
+
+
+@pytest.mark.parametrize("t,mapping,max_n", flipping_involutions)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flipping_pullback_is_a_free_z2_action(t, mapping, max_n, data):
+    g = data.draw(loopless_graphs(max_n))
+    alpha = Involution(t, GraphHom(t, t, mapping))
+    assert alpha.flipping
+    _assert_free_z2_action(z2_structure(t, alpha, g))
 
 
 def test_z2_action_not_free_without_flip():
