@@ -1,8 +1,10 @@
 """Integer homology: chain complexes, SNF, reduction, induced maps."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from homcx.builders import (
     complete_graph,
@@ -19,6 +21,7 @@ from homcx.homology import (
     HomologyProfile,
     cellular_chain_complex,
     homology,
+    OrderComplex,
     induced_map_homology,
     order_complex_homology,
 )
@@ -71,6 +74,54 @@ def test_profile_json_round_trip():
 def test_dd_zero_enforced():
     with pytest.raises(AssertionError):
         ChainComplex([1, 1, 1], [[{}], [{0: 1}], [{0: 1}]])
+
+
+@st.composite
+def graphs(draw, max_n, min_n=1):
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def _order_chain_complex(k):
+    return OrderComplex(k).chain_complex()
+
+
+@pytest.mark.parametrize("build", [cellular_chain_complex, _order_chain_complex])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_dd_zero_catches_one_wrong_coefficient(build, data):
+    # vertex 0 of G has degree >= 3, so Hom(K2, G) has a 2-cell
+    g = data.draw(graphs(5, min_n=4))
+    g = Graph(g.n, set(g.edges) | {(0, 1), (0, 2), (0, 3)})
+    c = build(enumerate_cells(complete_graph(2), g))
+    assert c.dimension >= 2
+    d = data.draw(st.integers(2, c.dimension))
+    j = data.draw(st.integers(0, c.ranks[d] - 1))
+    i = data.draw(st.sampled_from(sorted(c.boundaries[d][j])))
+    for wrong in (-c.boundaries[d][j][i], 2 * c.boundaries[d][j][i]):
+        cols = [[dict(col) for col in level] for level in c.boundaries]
+        cols[d][j][i] = wrong
+        with pytest.raises(AssertionError):
+            ChainComplex(c.ranks, cols)
+    # the untouched columns pass the same check
+    ChainComplex(c.ranks, c.boundaries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.sampled_from([complete_graph(2), path_graph(3), cycle_graph(4)]),
+    g=graphs(6),
+)
+def test_cellular_homology_matches_order_complex(t, g):
+    try:
+        k = enumerate_cells(t, g, cap=1500)
+        oracle = order_complex_homology(k, budget=300_000)
+    except ResourceLimitError:
+        assume(False)
+    assume(len(k) > 0)
+    assert homology(cellular_chain_complex(k)) == oracle
 
 
 def test_chain_complex_euler_characteristic():

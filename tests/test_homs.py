@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from homcx.builders import (
     complete_graph,
@@ -60,6 +60,102 @@ def test_cells_sorted_by_dim_then_assignment():
     k = enumerate_cells(complete_graph(2), cycle_graph(5))
     keys = [(c.dim, c.assignment) for c in k.cells]
     assert keys == sorted(keys)
+
+
+@st.composite
+def graphs(draw, max_n, loops=False, min_n=1):
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    if not loops:
+        pairs = [(u, v) for u, v in pairs if u != v]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def graph_homs(draw, domain, max_n):
+    """A random map from ``domain`` onto at most ``max_n`` vertices and
+    a random codomain that contains the image of every edge."""
+    n = draw(st.integers(1, max_n))
+    mapping = draw(st.lists(st.integers(0, n - 1), min_size=domain.n, max_size=domain.n))
+    extra = draw(graphs(n, loops=True, min_n=n))
+    image = [(mapping[u], mapping[v]) for u, v in domain.edges]
+    return GraphHom(domain, Graph(n, set(extra.edges) | set(image)), mapping)
+
+
+@st.composite
+def complexes(draw, cap):
+    """Hom(T, G) for a small loopless T and a random G (with loops only
+    on at most 3 vertices), drawn again whenever it has over ``cap`` cells."""
+    t = draw(st.sampled_from(
+        [complete_graph(2), path_graph(3), cycle_graph(4), complete_graph(3)]
+    ))
+    loops = draw(st.booleans())
+    g = draw(graphs(3 if loops else 5, loops=loops))
+    try:
+        return enumerate_cells(t, g, cap=cap)
+    except ResourceLimitError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=complexes(3000))
+def test_cells_in_canonical_order(k):
+    keys = [(c.dim, c.assignment) for c in k.cells]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
+    assert [c.dim for c in k.cells] == list(k.dim_of)
+    for d in range(k.dimension + 1):
+        assert k.cells_of_dim(d) == [i for i, c in enumerate(k.cells) if c.dim == d]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=complexes(300))
+def test_facets_match_brute_force(k):
+    cells = k.cells
+    for i, cell in enumerate(cells):
+        brute = [
+            j
+            for j, face in enumerate(cells)
+            if face.dim == cell.dim - 1 and face.is_face_of(cell)
+        ]
+        assert sorted(k.facets(i)) == brute
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.sampled_from([complete_graph(2), path_graph(3)]), data=st.data())
+def test_pushforward_is_functorial(t, data):
+    f = data.draw(graph_homs(data.draw(graphs(4)), 4))
+    g = data.draw(graph_homs(f.codomain, 4))
+    ka, kb, kc = (enumerate_cells(t, x) for x in (f.domain, f.codomain, g.codomain))
+    pf = pushforward(f, t, source_complex=ka, target_complex=kb)
+    pg = pushforward(g, t, source_complex=kb, target_complex=kc)
+    pgf = pushforward(g.compose(f), t, source_complex=ka, target_complex=kc)
+    assert pgf.images == pg.compose(pf).images
+    ident = pushforward(GraphHom.identity(f.domain), t, ka, ka)
+    assert ident.images == tuple(range(len(ka)))
+    for i, cell in enumerate(ka.cells):
+        image = kb.cells[pf.images[i]].assignment
+        assert image == tuple(
+            tuple(sorted({f.mapping[x] for x in s})) for s in cell.assignment
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(4, loops=True), data=st.data())
+def test_pullback_is_contravariant(g, data):
+    u = data.draw(graph_homs(data.draw(graphs(3)), 3))
+    v = data.draw(graph_homs(u.codomain, 3))
+    ka, kb, kc = (enumerate_cells(x, g) for x in (u.domain, u.codomain, v.codomain))
+    pu = pullback(u, g, source_complex=kb, target_complex=ka)
+    pv = pullback(v, g, source_complex=kc, target_complex=kb)
+    pvu = pullback(v.compose(u), g, source_complex=kc, target_complex=ka)
+    assert pvu.images == pu.compose(pv).images
+    ident = pullback(GraphHom.identity(u.domain), g, ka, ka)
+    assert ident.images == tuple(range(len(ka)))
+    for i, cell in enumerate(kb.cells):
+        image = ka.cells[pu.images[i]].assignment
+        assert image == tuple(cell.assignment[x] for x in u.mapping)
 
 
 def test_cells_of_box_complex_c5():
@@ -154,14 +250,6 @@ def test_z2_action_free_on_box_complex():
     _assert_free_z2_action(rep)
 
 
-@st.composite
-def loopless_graphs(draw, max_n):
-    n = draw(st.integers(1, max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, k in zip(pairs, keep) if k])
-
-
 # (T, flipping involution of T, largest G); Hom(C5, K5) has 45,540 cells
 flipping_involutions = [
     (complete_graph(2), [1, 0], 6),
@@ -173,7 +261,7 @@ flipping_involutions = [
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_flipping_pullback_is_a_free_z2_action(t, mapping, max_n, data):
-    g = data.draw(loopless_graphs(max_n))
+    g = data.draw(graphs(max_n))
     alpha = Involution(t, GraphHom(t, t, mapping))
     assert alpha.flipping
     _assert_free_z2_action(z2_structure(t, alpha, g))
