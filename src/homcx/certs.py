@@ -68,12 +68,7 @@ def load_certificate(text: str) -> LoadedCertificate:
     if not isinstance(obj, dict):
         raise GraphFormatError("certificate must be a JSON object")
     try:
-        family = []
-        for entry in obj["family"]:
-            graph = Graph.from_json_obj(entry["graph"])
-            inv = entry.get("involution")
-            hom = None if inv is None else GraphHom(graph, graph, inv)
-            family.append(FamilyMember(entry["name"], graph, hom))
+        family = [FamilyMember.from_json_obj(entry) for entry in obj["family"]]
         graphs = obj["graphs"]
         g = Graph.from_json_obj(graphs["G"])
         x = None if graphs["X"] is None else Graph.from_json_obj(graphs["X"])

@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Optional
 
 from .coloring import DEFAULT_NODE_BUDGET
@@ -29,7 +28,7 @@ from .errors import (
     NotFoundWithinBudgetError,
     ResourceLimitError,
 )
-from .graphs import Graph, GraphHom
+from .graphs import Graph
 from .homology import cellular_chain_complex, homology
 from .homs import DEFAULT_CELL_CAP, enumerate_cells, x_homotopy_classes
 
@@ -38,19 +37,6 @@ EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 EXIT_BIPARTITE = 4
 EXIT_VERIFY = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run; the seed is recorded in all
-    certificate output."""
-
-    command: str
-    paths: tuple[str, ...]
-    cap: int
-    node_budget: int
-    seed: int
-    out: Optional[str]
 
 
 def _default_cap() -> int:
@@ -82,12 +68,7 @@ def _load_member(path: str) -> FamilyMember:
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
     name = os.path.splitext(os.path.basename(path))[0]
-    if isinstance(obj, dict) and "graph" in obj:
-        graph = Graph.from_json_obj(obj["graph"])
-        inv = obj.get("involution")
-        hom = None if inv is None else GraphHom(graph, graph, inv)
-        return FamilyMember(obj.get("name", name), graph, hom)
-    return FamilyMember(name, Graph.from_json_obj(obj), None)
+    return FamilyMember.from_json_obj(obj, default_name=name)
 
 
 def _atomic_write(path: str, data: str) -> None:

@@ -18,6 +18,7 @@ from .coloring import DEFAULT_NODE_BUDGET, chromatic_number
 from .errors import (
     BipartiteInputError,
     DisconnectedGraphError,
+    GraphFormatError,
     HypothesisViolatedError,
     InvalidParameterError,
     NotFoundWithinBudgetError,
@@ -150,8 +151,8 @@ def fiber_certificate(
     pf = pushforward(step.retraction, complete_graph(2), cap=cap)
     target = pf.target
     v, w = step.edge
-    i_vw = target.index[((v,), (w,))]
-    i_wv = target.index[((w,), (v,))]
+    i_vw = target.index[(1 << v, 1 << w)]
+    i_wv = target.index[(1 << w, 1 << v)]
     fibers = pf.fibers()
     singleton = 0
     ok = True
@@ -581,17 +582,23 @@ def covering_split(
     a_set = frozenset(a_vertices)
     b_set = frozenset(b_vertices)
     overlap = sorted(a_set & b_set)
+    outside_a = outside_b = 0  # masks of the vertices outside A and B
+    for x in range(h.n):
+        if x not in a_set:
+            outside_a |= 1 << x
+        if x not in b_set:
+            outside_b |= 1 << x
     k = complex
     if k is None:
         k = enumerate_cells(t, h, cap=cap)
     in_a = in_b = in_both = 0
     union_ok = True
-    for cell in k.cells:
-        support = set()
-        for s in cell.assignment:
-            support.update(s)
-        inside_a = support <= a_set
-        inside_b = support <= b_set
+    for masks in k.masks:
+        support = 0
+        for m in masks:
+            support |= m
+        inside_a = not support & outside_a
+        inside_b = not support & outside_b
         in_a += inside_a
         in_b += inside_b
         in_both += inside_a and inside_b
@@ -623,6 +630,27 @@ class FamilyMember:
     name: str
     graph: Graph
     involution: Optional[GraphHom] = None
+
+    @staticmethod
+    def from_json_obj(obj: object, default_name: Optional[str] = None) -> "FamilyMember":
+        """A member from ``{"name", "graph", "involution"}``, where the
+        involution may be null; with a ``default_name`` the name may be
+        left out and the object may also be a plain graph.  Raises
+        GraphFormatError on anything malformed."""
+        if isinstance(obj, dict) and "graph" in obj:
+            name = obj.get("name", default_name)
+            if not isinstance(name, str):
+                raise GraphFormatError("family member name must be a string")
+            graph = Graph.from_json_obj(obj["graph"])
+            inv = obj.get("involution")
+            try:
+                hom = None if inv is None else GraphHom(graph, graph, inv)
+            except InvalidParameterError as exc:
+                raise GraphFormatError(f"involution of {name}: {exc}") from exc
+            return FamilyMember(name, graph, hom)
+        if default_name is None:
+            raise GraphFormatError("family member must be an object with a graph")
+        return FamilyMember(default_name, Graph.from_json_obj(obj), None)
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ class Graph:
             edges = obj["edges"]
         except KeyError as exc:
             raise GraphFormatError(f"missing key {exc}") from exc
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # bool is an int subclass
             raise GraphFormatError("'n' must be a nonnegative integer")
         if not isinstance(edges, list):
             raise GraphFormatError("'edges' must be a list")
@@ -156,7 +156,7 @@ class Graph:
             if (
                 not isinstance(item, list)
                 or len(item) != 2
-                or not all(isinstance(x, int) for x in item)
+                or not all(type(x) is int for x in item)
             ):
                 raise GraphFormatError(f"bad edge entry {item!r}")
             u, v = item
@@ -183,10 +183,15 @@ class GraphHom:
     mapping: tuple[int, ...]
 
     def __init__(self, domain: Graph, codomain: Graph, mapping: Sequence[int]):
-        mapping = tuple(mapping)
+        try:
+            mapping = tuple(mapping)
+        except TypeError:
+            raise InvalidParameterError("mapping must be a sequence of vertices")
         if len(mapping) != domain.n:
             raise InvalidParameterError("mapping length != domain size")
         for x in mapping:
+            if type(x) is not int:  # bool is an int subclass
+                raise InvalidParameterError(f"image vertex {x!r} is not an integer")
             if not 0 <= x < codomain.n:
                 raise InvalidParameterError(f"image vertex {x} out of range")
         for u, v in domain.edges:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import _kernels
 from .errors import InvalidParameterError, ResourceLimitError
-from .homs import CellMap, HomComplex
+from .homs import CellMap, HomComplex, _one_smaller
 
 DEFAULT_CHAIN_BUDGET = 2_000_000
 
@@ -71,11 +71,45 @@ class ChainComplex:
         return len(self.ranks) - 1
 
     def _check_dd_zero(self) -> None:
+        """Exact check that every boundary of a boundary is zero.
+
+        With unit coefficients throughout, the boundary of column j's
+        boundary is zero iff the rows it reaches with +1 and with -1 form
+        the same multiset; other columns are summed in a dict.
+        """
         for d in range(2, len(self.ranks)):
+            lower = self.boundaries[d - 1]
+            plus: list = []  # per lower column: its +1 rows, or None
+            minus: list = []  # its -1 rows
+            for col in lower:
+                p = [i for i, c in col.items() if c == 1]
+                m = [i for i, c in col.items() if c == -1]
+                unit = len(p) + len(m) == len(col)
+                plus.append(p if unit else None)
+                minus.append(m if unit else None)
             for col in self.boundaries[d]:
+                pos: list[int] = []
+                neg: list[int] = []
+                for i, c in col.items():
+                    if c == 1:
+                        p, m = plus[i], minus[i]
+                    elif c == -1:
+                        p, m = minus[i], plus[i]
+                    else:
+                        break
+                    if p is None:
+                        break
+                    pos += p
+                    neg += m
+                else:
+                    pos.sort()
+                    neg.sort()
+                    if pos != neg:
+                        raise AssertionError("boundary of boundary is nonzero")
+                    continue
                 acc: dict[int, int] = {}
                 for i, c in col.items():
-                    for i2, c2 in self.boundaries[d - 1][i].items():
+                    for i2, c2 in lower[i].items():
                         acc[i2] = acc.get(i2, 0) + c * c2
                 if any(acc.values()):
                     raise AssertionError("boundary of boundary is nonzero")
@@ -85,37 +119,41 @@ class ChainComplex:
 
 
 def cellular_chain_complex(k: HomComplex) -> ChainComplex:
-    """Cellular chains on a fully enumerated Hom complex."""
+    """Cellular chains on a fully enumerated Hom complex.
+
+    The face that drops the t-th smallest vertex from the set of source
+    vertex v has sign (-1)^(shift + t), where shift counts the vertices
+    beyond the first in the sets of the source vertices before v.
+    """
     top = k.dimension
     if top < 0:
         return ChainComplex((), ())
-    bases = [k.cells_of_dim(d) for d in range(top + 1)]
-    pos = {}
-    for d, basis in enumerate(bases):
-        for j, ci in enumerate(basis):
-            pos[ci] = j
-    boundaries = [[{} for _ in bases[0]]]
+    index, offsets = k.index, k.offsets
+    drops: dict[int, list[int]] = {}  # mask -> its masks one vertex smaller
+    boundaries = [[{} for _ in range(offsets[1])]]
     for d in range(1, top + 1):
+        base = offsets[d - 1]
         cols = []
-        for ci in bases[d]:
-            assignment = k.cells[ci].assignment
+        for masks in k.masks[offsets[d]:offsets[d + 1]]:
+            cell = list(masks)
             col: dict[int, int] = {}
             shift = 0
-            for v, s in enumerate(assignment):
-                if len(s) >= 2:
-                    for t in range(len(s)):
-                        face = (
-                            assignment[:v]
-                            + (s[:t] + s[t + 1:],)
-                            + assignment[v + 1:]
-                        )
-                        idx = pos[k.index[face]]
-                        sign = -1 if (shift + t) % 2 else 1
-                        col[idx] = col.get(idx, 0) + sign
-                shift += len(s) - 1
-            cols.append({i: c for i, c in col.items() if c})
+            for v, m in enumerate(masks):
+                if not m & (m - 1):
+                    continue
+                smaller = drops.get(m)
+                if smaller is None:
+                    smaller = drops[m] = _one_smaller(m)
+                sign = -1 if shift & 1 else 1
+                for face in smaller:
+                    cell[v] = face
+                    col[index[tuple(cell)] - base] = sign
+                    sign = -sign
+                cell[v] = m
+                shift += len(smaller) - 1
+            cols.append(col)
         boundaries.append(cols)
-    return ChainComplex([len(b) for b in bases], boundaries)
+    return ChainComplex(k.cell_counts(), boundaries)
 
 
 def homology(c: ChainComplex) -> HomologyProfile:
@@ -153,19 +191,14 @@ class OrderComplex:
 
     def __init__(self, k: HomComplex, budget: int = DEFAULT_CHAIN_BUDGET):
         self.complex = k
-        masks = [
-            tuple(_to_mask(s) for s in cell.assignment) for cell in k.cells
-        ]
-        n = len(k.cells)
+        masks = k.masks
+        n = len(k)
         successors: list[list[int]] = [[] for _ in range(n)]
         for i in range(n):
             mi = masks[i]
-            di = k.dim_of[i]
-            for j in range(i + 1, n):
-                if k.dim_of[j] <= di:
-                    continue
-                mj = masks[j]
-                if all(a & ~b == 0 for a, b in zip(mi, mj)):
+            # cells are sorted by dimension: the candidates start at the next one
+            for j in range(k.offsets[k.dim_of[i] + 1], n):
+                if not any(a & ~b for a, b in zip(mi, masks[j])):
                     successors[i].append(j)
         simplices: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]
         count = n
@@ -187,7 +220,7 @@ class OrderComplex:
         ]
 
     def chain_complex(self) -> ChainComplex:
-        if not self.complex.cells:
+        if len(self.complex) == 0:
             return ChainComplex((), ())
         boundaries = [[{} for _ in self.simplices[0]]]
         for d in range(1, len(self.simplices)):
@@ -202,13 +235,6 @@ class OrderComplex:
                 cols.append(col)
             boundaries.append(cols)
         return ChainComplex([len(level) for level in self.simplices], boundaries)
-
-
-def _to_mask(s: Sequence[int]) -> int:
-    m = 0
-    for x in s:
-        m |= 1 << x
-    return m
 
 
 def order_complex_homology(

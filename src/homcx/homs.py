@@ -4,6 +4,7 @@ x-homotopy classes, and the Z_2 structure coming from flipping involutions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -67,55 +68,111 @@ class MultiHom:
         return GraphHom(self.source, self.target, tuple(s[0] for s in self.assignment))
 
 
-def _cell_key(assignment: tuple[tuple[int, ...], ...]) -> tuple:
-    return (sum(len(s) - 1 for s in assignment), assignment)
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
+def _one_smaller(mask: int) -> list[int]:
+    """The masks with one vertex of ``mask`` dropped, least vertex first."""
+    out = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        out.append(mask ^ low)
+    return out
+
+
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _lex_key(mask: int, width: int) -> int:
+    """A key that sorts nonempty masks of at most ``width`` bytes as
+    their increasing vertex tuples sort.
+
+    With r the mask bit-reversed over 8 * width bits (the least vertex
+    becomes the highest bit), the rank of the vertex tuple among all
+    nonempty sets in lexicographic order is 2^(8 * width) - 1 + (number
+    of vertices) - r - (lowest bit of r), so this key is that rank less
+    a constant.
+    """
+    r = int.from_bytes(mask.to_bytes(width, "big").translate(_REVERSED_BYTES), "little")
+    return mask.bit_count() - r - (r & -r)
 
 
 class HomComplex:
     """Hom(source, target) as a fully enumerated poset of multi-homs.
 
-    Cells are canonically sorted by (dimension, assignment), so cell
-    indices are deterministic and compatible with the face order.
+    A cell is keyed by its masks: one bitmask of target vertices per
+    source vertex.  Cells are canonically sorted by (dimension,
+    assignment), the assignment listing each mask's vertices in
+    increasing order, so cell indices are deterministic and compatible
+    with the face order.  ``offsets[d]`` is the index of the first
+    d-cell, and ``offsets[-1] == len(self)``.
     """
 
-    def __init__(self, source: Graph, target: Graph, assignments):
+    def __init__(self, source: Graph, target: Graph, masks):
         self.source = source
         self.target = target
-        cells = sorted(assignments, key=_cell_key)
-        self.cells: tuple[MultiHom, ...] = tuple(
-            MultiHom(source, target, a) for a in cells
-        )
-        self.index: dict[tuple, int] = {
-            c.assignment: i for i, c in enumerate(self.cells)
+        masks = list(masks)
+        width = (target.n + 7) // 8
+        key_of = {m: _lex_key(m, width) for m in {m for ms in masks for m in ms}}
+        dims = [sum(map(int.bit_count, ms)) - source.n for ms in masks]
+        # (dimension, key of mask 0, key of mask 1, ...) per cell
+        keys = list(zip(dims, *(map(key_of.__getitem__, col) for col in zip(*masks))))
+        order = sorted(range(len(masks)), key=keys.__getitem__)
+        self.masks: tuple[tuple[int, ...], ...] = tuple(masks[i] for i in order)
+        self.index: dict[tuple[int, ...], int] = {
+            ms: i for i, ms in enumerate(self.masks)
         }
-        self.dim_of: tuple[int, ...] = tuple(c.dim for c in self.cells)
+        self.dim_of: tuple[int, ...] = tuple(dims[i] for i in order)
+        self.offsets: tuple[int, ...] = tuple(
+            bisect_left(self.dim_of, d) for d in range(self.dimension + 2)
+        )
+        self._cells: Optional[tuple[MultiHom, ...]] = None
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.masks)
+
+    @property
+    def cells(self) -> tuple[MultiHom, ...]:
+        """The cells as validated ``MultiHom`` objects, built on first use."""
+        if self._cells is None:
+            self._cells = tuple(
+                MultiHom(self.source, self.target, map(_vertices, ms))
+                for ms in self.masks
+            )
+        return self._cells
 
     @property
     def dimension(self) -> int:
-        return max(self.dim_of, default=-1)
+        return self.dim_of[-1] if self.dim_of else -1
 
     def cell_counts(self) -> tuple[int, ...]:
-        counts = [0] * (self.dimension + 1)
-        for d in self.dim_of:
-            counts[d] += 1
-        return tuple(counts)
+        return tuple(b - a for a, b in zip(self.offsets, self.offsets[1:]))
 
     def cells_of_dim(self, d: int) -> list[int]:
-        return [i for i, dd in enumerate(self.dim_of) if dd == d]
+        if not 0 <= d <= self.dimension:
+            return []
+        return list(range(self.offsets[d], self.offsets[d + 1]))
 
-    def facets(self, i: int):
-        """Indices of the codimension-1 faces of cell i."""
-        assignment = self.cells[i].assignment
+    def facets(self, i: int) -> list[int]:
+        """Indices of the codimension-1 faces of cell i: one vertex
+        dropped from one mask, by source vertex, then target vertex."""
+        cell = list(self.masks[i])
         out = []
-        for v, s in enumerate(assignment):
-            if len(s) < 2:
-                continue
-            for t in range(len(s)):
-                face = assignment[:v] + (s[:t] + s[t + 1:],) + assignment[v + 1:]
-                out.append(self.index[face])
+        for v, m in enumerate(self.masks[i]):
+            if m & (m - 1):
+                for face in _one_smaller(m):
+                    cell[v] = face
+                    out.append(self.index[tuple(cell)])
+                cell[v] = m
         return out
 
 
@@ -170,60 +227,54 @@ def enumerate_homs(
 def enumerate_cells(
     t: Graph, g: Graph, cap: int = DEFAULT_CELL_CAP
 ) -> HomComplex:
-    """The full Hom complex, grown from the dimension-0 cells by
-    extending one assigned set at a time."""
+    """The full Hom complex.  Each cell is grown exactly once from the
+    homomorphism of its least vertices, adding vertices to its sets in
+    increasing order: source vertex by source vertex, and within one set
+    by target vertex."""
     homs = enumerate_homs(t, g, cap=cap)
     adj = g.adjacency_masks
     t_adj = [sorted(t.adjacency[v]) for v in range(t.n)]
-
     full = (1 << g.n) - 1
     loop_at = [v in t.adjacency[v] for v in range(t.n)]
+    looped = 0
+    for x in g.loops():
+        looped |= 1 << x
 
-    seen: set[tuple[int, ...]] = set()
-    frontier: deque[tuple[int, ...]] = deque()
-    for f in homs:
-        masks = tuple(1 << x for x in f.mapping)
-        if masks not in seen:
-            seen.add(masks)
-            frontier.append(masks)
-    while frontier:
-        masks = frontier.popleft()
-        for v in range(t.n):
-            candidates = full & ~masks[v]
+    common: dict[int, int] = {}  # mask -> target vertices adjacent to all of it
+
+    def common_of(mask: int) -> int:
+        out = full
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out &= adj[low.bit_length() - 1]
+        common[mask] = out
+        return out
+
+    cells: list[tuple[int, ...]] = []
+    stack = [(tuple(1 << x for x in f.mapping), 0) for f in homs]
+    while stack:
+        masks, first = stack.pop()
+        cells.append(masks)
+        if len(cells) > cap:
+            raise ResourceLimitError(f"more than {cap} cells")
+        for v in range(first, t.n):
+            # only vertices above the largest one already in the set
+            candidates = full ^ ((1 << masks[v].bit_length()) - 1)
+            if loop_at[v]:
+                candidates &= looped
             for u in t_adj[v]:
-                m = masks[u]
-                while m and candidates:
-                    low = m & -m
-                    m ^= low
-                    candidates &= adj[low.bit_length() - 1]
                 if not candidates:
                     break
-            m = candidates
-            while m:
-                low = m & -m
-                m ^= low
-                x = low.bit_length() - 1
-                if loop_at[v] and not (adj[x] >> x) & 1:
-                    continue
-                grown = masks[:v] + (masks[v] | low,) + masks[v + 1:]
-                if grown not in seen:
-                    seen.add(grown)
-                    if len(seen) > cap:
-                        raise ResourceLimitError(f"more than {cap} cells")
-                    frontier.append(grown)
-
-    def unmask(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for m in masks:
-            s = []
-            while m:
-                low = m & -m
-                m ^= low
-                s.append(low.bit_length() - 1)
-            out.append(tuple(s))
-        return tuple(out)
-
-    return HomComplex(t, g, [unmask(m) for m in seen])
+                c = common.get(masks[u])
+                candidates &= common_of(masks[u]) if c is None else c
+            head, m, tail = masks[:v], masks[v], masks[v + 1:]
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                stack.append((head + (m | low,) + tail, v))
+    return HomComplex(t, g, cells)
 
 
 @dataclass(frozen=True)
@@ -235,13 +286,12 @@ class CellMap:
     target: HomComplex
     images: tuple[int, ...]
 
-    def image_cell(self, i: int) -> MultiHom:
-        return self.target.cells[self.images[i]]
-
     def is_order_preserving(self) -> bool:
+        masks = self.target.masks
         for i in range(len(self.source)):
+            top = masks[self.images[i]]
             for j in self.source.facets(i):
-                if not self.image_cell(j).is_face_of(self.image_cell(i)):
+                if any(a & ~b for a, b in zip(masks[self.images[j]], top)):
                     return False
         return True
 
@@ -276,12 +326,20 @@ def pushforward(
     k2 = target_complex
     if k2 is None:
         k2 = enumerate_cells(t, f.codomain, cap=cap)
+    table = [1 << x for x in f.mapping]
+    image_of: dict[int, int] = {}  # mask -> its image mask
     images = []
-    for cell in k1.cells:
-        image = tuple(
-            tuple(sorted({f.mapping[x] for x in s})) for s in cell.assignment
-        )
-        images.append(k2.index[image])
+    for masks in k1.masks:
+        image = []
+        for m in masks:
+            out = image_of.get(m)
+            if out is None:
+                out = 0
+                for x in _vertices(m):
+                    out |= table[x]
+                image_of[m] = out
+            image.append(out)
+        images.append(k2.index[tuple(image)])
     return CellMap(k1, k2, tuple(images))
 
 
@@ -300,11 +358,12 @@ def pullback(
     k2 = target_complex
     if k2 is None:
         k2 = enumerate_cells(u.domain, g, cap=cap)
-    images = []
-    for cell in k1.cells:
-        image = tuple(cell.assignment[u.mapping[x]] for x in range(u.domain.n))
-        images.append(k2.index[image])
-    return CellMap(k1, k2, tuple(images))
+    index = k2.index
+    perm = u.mapping
+    images = tuple(
+        index[tuple(map(masks.__getitem__, perm))] for masks in k1.masks
+    )
+    return CellMap(k1, k2, images)
 
 
 class _DSU:

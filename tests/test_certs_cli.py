@@ -185,3 +185,43 @@ def test_cli_cap_env_invalid(tmp_path, monkeypatch):
     monkeypatch.setenv("HOMCX_CAP", "lots")
     t = graph_file(tmp_path, "k2.json", complete_graph(2))
     assert main(["hom", t, t]) == 2
+
+
+@pytest.mark.parametrize("involution", [[1.0, 0.0], "ab", True, [True, False], {"0": 1}])
+def test_cli_construct_malformed_involution_exit_code(tmp_path, involution):
+    fam = tmp_path / "k2.json"
+    fam.write_text(json.dumps(
+        {"name": "K2", "graph": json.loads(complete_graph(2).to_json()),
+         "involution": involution}
+    ))
+    loop = graph_file(tmp_path, "loop.json", Graph(2, [(0, 0), (0, 1)]))
+    argv = ["construct", "--family", str(fam), "--g", loop, "--n", "2",
+            "--out", str(tmp_path / "cert.json")]
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "graph", [{"n": True, "edges": []}, {"n": 2, "edges": [[0, True]]}]
+)
+def test_cli_hom_rejects_bool_in_graph(tmp_path, graph):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(graph))
+    g = graph_file(tmp_path, "c5.json", cycle_graph(5))
+    assert main(["hom", str(bad), g]) == 2
+
+
+@pytest.mark.parametrize("involution", [[1.0, 0.0], "ab", True, [True, False]])
+def test_cli_verify_malformed_involution_exit_code(tmp_path, looped_cert_text, involution):
+    obj = json.loads(looped_cert_text)
+    obj["family"][0]["involution"] = involution
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+
+
+def test_cli_verify_rejects_nameless_member(tmp_path, looped_cert_text):
+    obj = json.loads(looped_cert_text)
+    del obj["family"][0]["name"]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2

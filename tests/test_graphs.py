@@ -142,3 +142,18 @@ def test_walker_graphs_shape():
     g2 = walker_graph_2()
     assert g1.n == 7 and g2.n == 9
     assert g2.edge_count() == g1.edge_count() + 2
+
+
+@pytest.mark.parametrize("mapping", [[1.0, 0.0], "ab", True, [True, False], [1, None]])
+def test_hom_rejects_non_integer_vertices(mapping):
+    k2 = complete_graph(2)
+    with pytest.raises(InvalidParameterError):
+        GraphHom(k2, k2, mapping)
+
+
+@pytest.mark.parametrize(
+    "obj", [{"n": True, "edges": []}, {"n": 2, "edges": [[False, 1]]}, {"n": 2.0, "edges": []}]
+)
+def test_from_json_rejects_non_integer_vertices(obj):
+    with pytest.raises(GraphFormatError):
+        Graph.from_json_obj(obj)

@@ -15,6 +15,8 @@ from homcx.errors import ResourceLimitError
 from homcx.graphs import Graph, GraphHom
 from homcx.homs import (
     Involution,
+    _lex_key,
+    _vertices,
     enumerate_cells,
     enumerate_homs,
     pullback,
@@ -296,3 +298,12 @@ def test_empty_precomputed_complex_is_used(monkeypatch):
     rot = Involution(k3, GraphHom(k3, k3, [1, 0, 2]))
     rep = z2_structure(k3, rot, k2, complex=empty)
     assert rep.action.source is empty and rep.free
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 70), min_size=1), min_size=2, max_size=30))
+def test_lex_key_sorts_masks_as_vertex_tuples(sets):
+    masks = [sum(1 << x for x in s) for s in sets]
+    assert [_vertices(m) for m in masks] == [tuple(sorted(s)) for s in sets]
+    by_key = sorted(masks, key=lambda m: _lex_key(m, 9))
+    assert [_vertices(m) for m in by_key] == sorted(tuple(sorted(s)) for s in sets)

@@ -1,18 +1,56 @@
-"""The package builds offline: its build requirements are installed."""
+"""The package builds offline: its build requirements are installed, and
+every third-party module the tests import is a declared test dependency."""
 
+import ast
+import sys
 import tomllib
 from importlib import metadata
 from pathlib import Path
 
 from packaging.requirements import Requirement
+from packaging.utils import canonicalize_name
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+TEST_FILES = sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("test_*.py")
+)
+# the package itself and the benchmark's modules, which its test imports
+LOCAL_MODULES = {"homcx"} | {p.stem for p in (ROOT / "perfbench").glob("*.py")}
+
+
+def _pyproject() -> dict:
+    with PYPROJECT.open("rb") as fh:
+        return tomllib.load(fh)
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level names of the modules a file imports absolutely."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
 
 
 def test_build_requirements_are_installed():
-    with PYPROJECT.open("rb") as fh:
-        requires = tomllib.load(fh)["build-system"]["requires"]
-    for spec in requires:
+    for spec in _pyproject()["build-system"]["requires"]:
         req = Requirement(spec)
         version = metadata.version(req.name)  # raises if not installed
         assert req.specifier.contains(version, prereleases=True), (spec, version)
+
+
+def test_test_imports_are_declared():
+    declared = {
+        canonicalize_name(Requirement(spec).name)
+        for spec in _pyproject()["project"]["optional-dependencies"]["test"]
+    }
+    providers = metadata.packages_distributions()
+    for path in TEST_FILES:
+        for module in sorted(_imported_modules(path)):
+            if module in sys.stdlib_module_names or module in LOCAL_MODULES:
+                continue
+            dists = {canonicalize_name(d) for d in providers.get(module, ())}
+            assert dists & declared, f"{path.name} imports undeclared {module}"
