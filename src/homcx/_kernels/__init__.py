@@ -1,6 +1,6 @@
 """The hot kernels: homomorphism search, Smith reduction and Morse
 reduction of chain complexes, implemented in ``_pure``."""
 
-from ._pure import reduce_chain_complex, search_homs, smith_form, snf_diagonal
+from ._pure import reduce_chain_complex, search_homs, snf_diagonal
 
-__all__ = ["search_homs", "smith_form", "snf_diagonal", "reduce_chain_complex"]
+__all__ = ["search_homs", "snf_diagonal", "reduce_chain_complex"]

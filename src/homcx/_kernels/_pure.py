@@ -149,73 +149,29 @@ def snf_diagonal(columns, nrows):
         for r, row in row_data.items():
             for c, v in row.items():
                 dense[rows[r]][cols[c]] = v
-        diag.extend(smith_form(dense, len(cols))[0])
+        diag.extend(smith_form(dense, len(cols)))
     diag.sort()
     return diag
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_form(a, n, track_rows=False, track_cols=False):
+def smith_form(a, n):
     """Smith reduction of a dense integer matrix, minimal-absolute-value pivot.
 
     ``a`` is an m x n matrix as a list of m rows; it is reduced in place.
-    Returns (diag, U, Uinv, V, Vinv) with U*A*V diagonal: ``diag`` lists
-    the nonzero invariant factors, each dividing the next, and untracked
-    transforms are None.
+    Returns the nonzero invariant factors, each dividing the next.
     """
     m = len(a)
-    U = _identity(m) if track_rows else None
-    Uinv = _identity(m) if track_rows else None
-    V = _identity(n) if track_cols else None
-    Vinv = _identity(n) if track_cols else None
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-            for r in Uinv:
-                r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, f):
         # row i += f * row j
         ai, aj = a[i], a[j]
         for t in range(n):
             ai[t] += f * aj[t]
-        if U is not None:
-            ui, uj = U[i], U[j]
-            for t in range(m):
-                ui[t] += f * uj[t]
-            for r in Uinv:
-                r[j] -= f * r[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        if V is not None:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
-            for r in Uinv:
-                r[i] = -r[i]
 
     def col_add(i, j, f):
         # col i += f * col j
         for r in a:
             r[i] += f * r[j]
-        if V is not None:
-            for r in V:
-                r[i] += f * r[j]
-            vi, vj = Vinv[i], Vinv[j]
-            for t in range(n):
-                vj[t] -= f * vi[t]
 
     top = 0
     diag = []
@@ -233,9 +189,10 @@ def smith_form(a, n, track_rows=False, track_cols=False):
             break
         pi, pj = pivot
         if pi != top:
-            row_swap(top, pi)
+            a[top], a[pi] = a[pi], a[top]
         if pj != top:
-            col_swap(top, pj)
+            for r in a:
+                r[top], r[pj] = r[pj], r[top]
         p = a[top][top]
         dirty = False
         for i in range(top + 1, m):
@@ -266,11 +223,9 @@ def smith_form(a, n, track_rows=False, track_cols=False):
                 break
         if not ok:
             continue
-        if p < 0:
-            row_negate(top)
         diag.append(abs(p))
         top += 1
-    return diag, U, Uinv, V, Vinv
+    return diag
 
 
 def reduce_chain_complex(ranks, cols):

@@ -19,9 +19,10 @@ from .constructions import (
     _verify_member,
     _z2_summary,
     cylinder_sweep_order,
+    glue_cylinder,
     uniformly_small_m,
 )
-from .errors import GraphFormatError, ResourceLimitError
+from .errors import GraphFormatError, InvalidParameterError, ResourceLimitError
 from .graphs import Graph, GraphHom
 from .homology import HomologyProfile
 from .homs import DEFAULT_CELL_CAP
@@ -45,17 +46,56 @@ class LoadedCertificate:
     embed_g: GraphHom
     a_vertices: tuple[int, ...]
     b_vertices: tuple[int, ...]
-    profiles: dict
+    profiles: dict  # name -> "unverified" or {"G": HomologyProfile, "H": ...}
     z2: dict
     verdict: str
+
+
+def _int(value, field: str) -> int:
+    if type(value) is not int:  # bool is an int subclass
+        raise GraphFormatError(f"{field} must be an integer")
+    return value
 
 
 def _chi_from_json(value):
     if value == "inf":
         return math.inf
-    if not isinstance(value, int):
+    if type(value) is not int:
         raise GraphFormatError("chi field must be an integer or 'inf'")
     return value
+
+
+def _vertices(value, h: Graph, field: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(
+        type(v) is int and 0 <= v < h.n for v in value
+    ):
+        raise GraphFormatError(f"{field} must be a list of vertices of H")
+    return tuple(value)
+
+
+def _profiles(value) -> dict:
+    if not isinstance(value, dict):
+        raise GraphFormatError("profiles must be an object")
+    out = {}
+    for name, claimed in value.items():
+        if claimed == "unverified":
+            out[name] = claimed
+        elif isinstance(claimed, dict):
+            out[name] = {
+                side: HomologyProfile.from_json_obj(claimed[side])
+                for side in ("G", "H")
+            }
+        else:
+            raise GraphFormatError(f"profiles.{name} must be 'unverified' or an object")
+    return out
+
+
+def _hom(domain, codomain, value, field: str) -> Optional[GraphHom]:
+    if value is None:
+        return None
+    if domain is None or codomain is None:
+        raise GraphFormatError(f"maps.{field} given without its graphs")
+    return GraphHom(domain, codomain, value)
 
 
 def load_certificate(text: str) -> LoadedCertificate:
@@ -75,32 +115,25 @@ def load_certificate(text: str) -> LoadedCertificate:
         y = None if graphs["Y"] is None else Graph.from_json_obj(graphs["Y"])
         h = Graph.from_json_obj(graphs["H"])
         maps = obj["maps"]
-        f = None if maps["f"] is None else GraphHom(y, x, maps["f"])
-        gmap = None if maps["g"] is None else GraphHom(y, g, maps["g"])
-        embed_x = (
-            None
-            if maps["embedX"] is None
-            else GraphHom(x, h, maps["embedX"])
-        )
-        embed_g = GraphHom(g, h, maps["embedG"])
+        parts = obj["parts"]
         return LoadedCertificate(
             family=tuple(family),
-            n=int(obj["n"]),
-            m=int(obj["m"]),
-            seed=int(obj["seed"]),
+            n=_int(obj["n"], "n"),
+            m=_int(obj["m"], "m"),
+            seed=_int(obj["seed"], "seed"),
             chi_x=_chi_from_json(obj["chiX"]),
             chi_h=_chi_from_json(obj["chiH"]),
             g=g,
             x=x,
             y=y,
             h=h,
-            f=f,
-            gmap=gmap,
-            embed_x=embed_x,
-            embed_g=embed_g,
-            a_vertices=tuple(obj["parts"]["A"]),
-            b_vertices=tuple(obj["parts"]["B"]),
-            profiles=obj["profiles"],
+            f=_hom(y, x, maps["f"], "f"),
+            gmap=_hom(y, g, maps["g"], "g"),
+            embed_x=_hom(x, h, maps["embedX"], "embedX"),
+            embed_g=GraphHom(g, h, maps["embedG"]),
+            a_vertices=_vertices(parts["A"], h, "parts.A"),
+            b_vertices=_vertices(parts["B"], h, "parts.B"),
+            profiles=_profiles(obj["profiles"]),
             z2=obj["z2"],
             verdict=obj["verdict"],
         )
@@ -124,14 +157,27 @@ def verify_certificate(
             problems.append("graphs.H (looped input must give H = G)")
         if cert.chi_x != math.inf or cert.chi_h != math.inf:
             problems.append("chiX/chiH (looped input)")
+        whole = tuple(range(cert.g.n))
+        if cert.a_vertices != whole or cert.b_vertices != whole:
+            problems.append("parts")
     else:
         if cert.x is None or cert.y is None:
             problems.append("graphs.X/graphs.Y missing")
+            return problems
+        if cert.f is None or cert.gmap is None:
+            problems.append("maps.f/maps.g missing")
             return problems
         if cert.embed_x is None or len(set(cert.embed_x.mapping)) != cert.x.n:
             problems.append("maps.embedX (not an embedding)")
         if len(set(cert.embed_g.mapping)) != cert.g.n:
             problems.append("maps.embedG (not an embedding)")
+        try:
+            glue = glue_cylinder(cert.x, cert.y, cert.g, cert.f, cert.gmap, cert.m)
+            parts = (glue.a_vertices, glue.b_vertices)
+        except InvalidParameterError:
+            parts = None
+        if parts != (cert.a_vertices, cert.b_vertices):
+            problems.append("parts")
         chi_x = chromatic_number(cert.x, node_budget)
         if chi_x != cert.chi_x:
             problems.append("chiX")
@@ -163,7 +209,7 @@ def verify_certificate(
             problems.append(f"profiles.{member.name} (cap exceeded)")
             continue
         for side, profile in (("G", report.profile_g), ("H", report.profile_h)):
-            if HomologyProfile.from_json_obj(claimed[side]) != profile:
+            if claimed[side] != profile:
                 problems.append(f"profiles.{member.name}.{side}")
         if report.profile_g != report.profile_h:
             problems.append(f"profiles.{member.name} (G and H differ)")

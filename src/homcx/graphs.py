@@ -76,12 +76,6 @@ class Graph:
             self.__dict__["_adjacency_masks"] = cached
         return cached
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_loop(self) -> bool:
         return any(u == v for u, v in self.edges)
 

@@ -2,10 +2,12 @@
 
 Cellular chains use the product-of-simplices sign convention on the
 regular cell structure; the order complex (barycentric subdivision)
-provides an independent simplicial route and carries induced maps.
-All reductions are integer-exact (Smith normal form, arbitrary
-precision); homology equality between complexes is evidence consistent
-with homotopy equivalence, never a proof of it.
+provides an independent simplicial route and carries induced maps.  A
+cell map induces isomorphisms on homology iff the mapping cone of its
+simplicial chain map is acyclic, which the same homology routine
+decides.  All reductions are integer-exact (Smith normal form,
+arbitrary precision); homology equality between complexes is evidence
+consistent with homotopy equivalence, never a proof of it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import GraphFormatError, InvalidParameterError, ResourceLimitError
 from .homs import CellMap, HomComplex, _one_smaller
 
 DEFAULT_CHAIN_BUDGET = 2_000_000
@@ -45,8 +47,25 @@ class HomologyProfile:
         }
 
     @staticmethod
-    def from_json_obj(obj: dict) -> "HomologyProfile":
-        return HomologyProfile.make(obj["betti"], obj["torsion"])
+    def from_json_obj(obj: object) -> "HomologyProfile":
+        """Inverse of ``to_json_obj``; raises GraphFormatError unless the
+        object holds a list of integer Betti numbers and, per Betti
+        number, a list of integer torsion coefficients."""
+        if not isinstance(obj, dict):
+            raise GraphFormatError("profile must be an object")
+        betti, torsion = obj.get("betti"), obj.get("torsion")
+        if not (
+            _is_int_list(betti)
+            and isinstance(torsion, list)
+            and len(torsion) == len(betti)
+            and all(_is_int_list(t) for t in torsion)
+        ):
+            raise GraphFormatError("profile needs integer lists 'betti' and 'torsion'")
+        return HomologyProfile.make(betti, torsion)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 class ChainComplex:
@@ -245,119 +264,14 @@ def order_complex_homology(
     return homology(OrderComplex(k, budget).chain_complex())
 
 
-# -- homology with explicit generators and induced maps ------------------
-
-
-def _matvec(mat: list[list[int]], x: Sequence[int]) -> list[int]:
-    return [sum(r * v for r, v in zip(row, x) if v) for row in mat]
-
-
-def _det(mat: list[list[int]]):
-    """Exact integer determinant (fraction-free elimination)."""
-    from fractions import Fraction
-
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    assert det.denominator == 1
-    return det.numerator
-
-
-class _DimHomologyBasis:
-    """Homology of one dimension of a chain complex with explicit
-    generator cycles and a coordinate map for arbitrary cycles."""
-
-    def __init__(self, c: ChainComplex, d: int):
-        n_d = c.ranks[d] if d < len(c.ranks) else 0
-        self.n_d = n_d
-        if n_d == 0:
-            self.kernel_rank = 0
-            self.orders = []
-            self.betti = 0
-            self.tor_orders = []
-            return
-        lower = c.ranks[d - 1] if d >= 1 else 0
-        bnd = [[0] * n_d for _ in range(lower)]
-        for j, col in enumerate(c.boundaries[d]):
-            for i, v in col.items():
-                bnd[i][j] = v
-        diag, _, _, V, Vinv = _kernels.smith_form(bnd, n_d, track_cols=True)
-        r = len(diag)
-        self.rank_bnd = r
-        self.kernel_rank = n_d - r
-        self.V = V
-        self.Vinv = Vinv
-        # image of the (d+1)-boundary in kernel coordinates
-        upper = c.ranks[d + 1] if d + 1 < len(c.ranks) else 0
-        A = [[0] * upper for _ in range(self.kernel_rank)]
-        for j in range(upper):
-            colvec = [0] * n_d
-            for i, v in c.boundaries[d + 1][j].items():
-                colvec[i] = v
-            y = _matvec(Vinv, colvec)
-            assert all(y[i] == 0 for i in range(r)), "image not in kernel"
-            for i in range(self.kernel_rank):
-                A[i][j] = y[r + i]
-        diag2, U2, U2inv, _, _ = _kernels.smith_form(A, upper, track_rows=True)
-        self.r2 = len(diag2)
-        self.orders = diag2
-        self.U2 = U2
-        self.U2inv = U2inv
-        self.tor_orders = [x for x in diag2 if x > 1]
-        self.tor_rows = [i for i, x in enumerate(diag2) if x > 1]
-        self.betti = self.kernel_rank - self.r2
-
-    def coords(self, x: Sequence[int]) -> tuple[list[int], list[int]]:
-        """(free, torsion) homology coordinates of a cycle."""
-        if self.n_d == 0:
-            if any(x):
-                raise InvalidParameterError("nonzero chain in empty dimension")
-            return [], []
-        y = _matvec(self.Vinv, list(x))
-        if any(y[i] for i in range(self.rank_bnd)):
-            raise InvalidParameterError("chain is not a cycle")
-        a = y[self.rank_bnd:]
-        h = _matvec(self.U2, a)
-        free = h[self.r2:]
-        tor = [h[i] % self.orders[i] for i in self.tor_rows]
-        return free, tor
-
-    def generators(self) -> list[list[int]]:
-        """Cycles generating H_d: free generators then torsion generators."""
-        gens = []
-        rows = list(range(self.r2, self.kernel_rank)) + self.tor_rows
-        for j in rows:
-            a = [self.U2inv[i][j] for i in range(self.kernel_rank)]
-            cyc = [0] * self.n_d
-            for i in range(self.kernel_rank):
-                if a[i]:
-                    for t in range(self.n_d):
-                        cyc[t] += self.V[t][self.rank_bnd + i] * a[i]
-            gens.append(cyc)
-        return gens
+# -- induced maps ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class InducedMapReport:
-    """Induced map on homology of order complexes."""
+    """Whether a cell map induces isomorphisms on the homology of the
+    order complexes, with both homology profiles."""
 
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
-    iso_per_dim: tuple[bool, ...]
     isomorphism: bool
     source_profile: HomologyProfile
     target_profile: HomologyProfile
@@ -366,10 +280,16 @@ class InducedMapReport:
 def induced_map_homology(
     cmap: CellMap, budget: int = DEFAULT_CHAIN_BUDGET
 ) -> InducedMapReport:
-    """Chain map on order complexes, then the map on SNF homology bases.
+    """Decide whether an order-preserving cell map induces isomorphisms
+    on the homology of the order complexes.
 
-    The cell map must be order-preserving; simplices whose images
-    degenerate are sent to zero.
+    The cell map induces a simplicial chain map f that sends a simplex
+    whose image degenerates to zero.  A chain map of free Z-complexes is
+    a quasi-isomorphism iff its mapping cone is acyclic (Weibel, An
+    Introduction to Homological Algebra, Cor. 1.5.4).  The cone's
+    degree-d group is C1_{d-1} + C2_d, in that order, with boundary
+    (a, b) -> (-da, f(a) + db); as a ChainComplex it is checked for
+    dd = 0, which holds iff f is a chain map.
     """
     if not cmap.is_order_preserving():
         raise InvalidParameterError("cell map is not order-preserving")
@@ -377,95 +297,26 @@ def induced_map_homology(
     oc2 = OrderComplex(cmap.target, budget)
     c1 = oc1.chain_complex()
     c2 = oc2.chain_complex()
-    p1 = homology(c1)
-    p2 = homology(c2)
-    top = max(len(c1.ranks), len(c2.ranks))
-    matrices = []
-    iso_dims = []
-    for d in range(top):
-        h1 = _DimHomologyBasis(c1, d) if d < len(c1.ranks) else None
-        h2 = _DimHomologyBasis(c2, d) if d < len(c2.ranks) else None
-        b1 = h1.betti if h1 else 0
-        t1 = h1.tor_orders if h1 else []
-        b2 = h2.betti if h2 else 0
-        t2 = h2.tor_orders if h2 else []
+    images = cmap.images
+    boundaries = []
+    for d in range(max(len(c1.ranks) + 1, len(c2.ranks))):
+        # the C2 block of degree d - 1 starts after C1_{d-2}
+        shift = c1.ranks[d - 2] if 2 <= d <= len(c1.ranks) + 1 else 0
         cols = []
-        if h1:
-            for gen in h1.generators():
-                image = _push_chain(oc1, oc2, d, gen, cmap.images)
-                if h2:
-                    free, tor = h2.coords(image)
-                else:
-                    if any(image):
-                        raise AssertionError("image chain outside target")
-                    free, tor = [], []
-                cols.append(free + tor)
-        rows = b2 + len(t2)
-        mat = tuple(
-            tuple(cols[j][i] for j in range(len(cols))) for i in range(rows)
-        )
-        matrices.append(mat)
-        iso_dims.append(
-            _is_iso_block(mat, b1, t1, b2, t2)
-        )
+        if 1 <= d <= len(c1.ranks):
+            for s, col in zip(oc1.simplices[d - 1], c1.boundaries[d - 1]):
+                out = {i: -c for i, c in col.items()}
+                image = tuple(images[v] for v in s)
+                if len(set(image)) == len(image):  # degenerate images are 0
+                    out[shift + oc2.index[d - 1][image]] = 1
+                cols.append(out)
+        if d < len(c2.ranks):
+            for col in c2.boundaries[d]:
+                cols.append({shift + i: c for i, c in col.items()})
+        boundaries.append(cols)
+    cone = homology(ChainComplex([len(cols) for cols in boundaries], boundaries))
     return InducedMapReport(
-        matrices=tuple(matrices),
-        iso_per_dim=tuple(iso_dims),
-        isomorphism=all(iso_dims),
-        source_profile=p1,
-        target_profile=p2,
+        isomorphism=not cone.betti and not cone.torsion,
+        source_profile=homology(c1),
+        target_profile=homology(c2),
     )
-
-
-def _push_chain(oc1, oc2, d, chain, images):
-    """Apply the simplicial map induced by an order-preserving cell map."""
-    n2 = len(oc2.simplices[d]) if d < len(oc2.simplices) else 0
-    out = [0] * n2
-    if d >= len(oc1.simplices):
-        return out
-    for j, coef in enumerate(chain):
-        if not coef:
-            continue
-        simplex = oc1.simplices[d][j]
-        image = tuple(images[v] for v in simplex)
-        if len(set(image)) < len(image):
-            continue  # degenerate
-        out[oc2.index[d][image]] += coef
-    return out
-
-
-def _is_iso_block(mat, b1, t1, b2, t2) -> bool:
-    """Isomorphism test for a map between f.g. abelian groups given by
-    a matrix on (free gens, torsion gens) coordinates."""
-    if b1 != b2 or list(t1) != list(t2):
-        return False
-    rows = b2 + len(t2)
-    cols = b1 + len(t1)
-    if rows != cols:
-        return False
-    if rows == 0:
-        return True
-    free_block = [[mat[i][j] for j in range(b1)] for i in range(b2)]
-    if abs(_det(free_block)) != 1:
-        return False
-    # torsion generators must land in the torsion subgroup
-    for j in range(b1, cols):
-        for i in range(b2):
-            if mat[i][j] != 0:
-                return False
-    if t2:
-        # surjectivity onto the torsion part: [T | diag(orders)] has
-        # trivial cokernel iff all invariant factors are 1
-        tor = [
-            [mat[b2 + i][b1 + j] for j in range(len(t1))]
-            for i in range(len(t2))
-        ]
-        aug_cols = []
-        for j in range(len(t1)):
-            aug_cols.append({i: tor[i][j] for i in range(len(t2)) if tor[i][j]})
-        for i, order in enumerate(t2):
-            aug_cols.append({i: order})
-        diag = _kernels.snf_diagonal(aug_cols, len(t2))
-        if len(diag) != len(t2) or any(x != 1 for x in diag):
-            return False
-    return True

@@ -319,3 +319,20 @@ def test_criterion_10_determinism_and_verification(
             loaded = load_certificate(path.read_text())
             assert verify_certificate(loaded) == []
             assert cli_main(["verify", str(path)]) == 0
+
+
+def test_verify_checks_pipeline_parts(cert7_runs, cert8_runs):
+    # a cap of 10 cells skips the members' homology, which parts do not need
+    for cert, _ in (cert7_runs, cert8_runs):
+        obj = json.loads(certificate_json(cert))
+        assert "parts" not in verify_certificate(
+            load_certificate(json.dumps(obj)), cell_cap=10
+        )
+        obj["parts"] = {"A": [0], "B": [1]}
+        assert "parts" in verify_certificate(
+            load_certificate(json.dumps(obj)), cell_cap=10
+        )
+        obj["maps"]["f"] = None
+        assert "maps.f/maps.g missing" in verify_certificate(
+            load_certificate(json.dumps(obj)), cell_cap=10
+        )

@@ -225,3 +225,47 @@ def test_cli_verify_rejects_nameless_member(tmp_path, looped_cert_text):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(obj))
     assert main(["verify", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("n",), True),
+        (("n",), 2.9),
+        (("m",), "7"),
+        (("seed",), 1.7),
+        (("chiH",), True),
+        (("parts", "A"), [0.5]),
+        (("parts", "A"), [99]),
+        (("parts", "B"), "012"),
+        (("profiles",), []),
+        (("profiles", "K2"), "bogus"),
+        (("profiles", "K2", "G"), {"betti": [True], "torsion": [[]]}),
+        (("profiles", "K2", "H"), {"betti": [1], "torsion": [[2.5]]}),
+        (("maps", "f"), [0]),
+    ],
+    ids=[
+        "n-bool", "n-float", "m-string", "seed-float", "chi-bool", "parts-float",
+        "parts-outside-H", "parts-string", "profiles-list", "profile-string",
+        "betti-bool", "torsion-float", "map-without-graphs",
+    ],
+)
+def test_cli_verify_rejects_malformed_field(tmp_path, looped_cert_text, path, value):
+    obj = json.loads(looped_cert_text)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(obj))
+    assert main(["verify", str(cert)]) == 2
+
+
+def test_verify_detects_tampered_parts(tmp_path, capsys, looped_cert_text):
+    obj = json.loads(looped_cert_text)
+    obj["parts"] = {"A": [0], "B": [1]}
+    assert "parts" in verify_certificate(load_certificate(json.dumps(obj)))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 5
+    assert "FAIL parts" in capsys.readouterr().out

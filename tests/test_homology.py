@@ -200,3 +200,37 @@ def test_induced_map_to_point_kills_top_class():
     pf = pushforward(fold, complete_graph(2))
     report = induced_map_homology(pf)
     assert not report.isomorphism
+
+
+def test_induced_map_of_triple_wrap_is_not_isomorphism():
+    # i -> i mod 5 wraps C_15 three times around C_5: both box complexes
+    # are circles, but H_1 is multiplied by 3, so equal Betti numbers
+    # must not decide
+    c5 = cycle_graph(5)
+    wrap = GraphHom(cycle_graph(15), c5, [i % 5 for i in range(15)])
+    report = induced_map_homology(pushforward(wrap, complete_graph(2)))
+    assert report.source_profile.betti == report.target_profile.betti == (1, 1)
+    assert not report.isomorphism
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=graphs(6), data=st.data())
+def test_induced_map_isomorphism_implies_equal_profiles(g, data):
+    k2 = complete_graph(2)
+    n = data.draw(st.integers(1, g.n))
+    mapping = data.draw(st.lists(st.integers(0, n - 1), min_size=g.n, max_size=g.n))
+    # the image of every edge, loops included, so the map is a graph map
+    target = Graph(n, {(mapping[u], mapping[v]) for u, v in g.edges})
+    try:
+        ident = induced_map_homology(
+            pushforward(GraphHom.identity(g), k2, cap=500), budget=20_000
+        )
+        report = induced_map_homology(
+            pushforward(GraphHom(g, target, mapping), k2, cap=500), budget=20_000
+        )
+    except ResourceLimitError:
+        assume(False)
+    assert ident.isomorphism
+    assert ident.source_profile == ident.target_profile
+    if report.isomorphism:
+        assert report.source_profile == report.target_profile

@@ -2,12 +2,12 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 import homcx
-from homcx._kernels import search_homs, smith_form, snf_diagonal
-from homcx.homology import _det
+from homcx._kernels import search_homs, snf_diagonal
 
 non_units = st.integers(-9, 9).filter(lambda v: v not in (1, -1))
 # lists of rows, at most 5 x 5
@@ -16,6 +16,30 @@ matrices = st.integers(1, 5).flatmap(
         st.lists(non_units, min_size=n, max_size=n), min_size=1, max_size=5
     )
 )
+
+
+def _det(mat):
+    """Exact integer determinant (fraction-free elimination)."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [[Fraction(v) for v in row] for row in mat]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = 1 / a[c][c]
+        for r in range(c + 1, n):
+            if a[r][c]:
+                f = a[r][c] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    assert det.denominator == 1
+    return det.numerator
 
 
 def test_search_homs_returns_none_past_cap():
@@ -44,27 +68,6 @@ def test_snf_diagonal_matches_determinantal_divisors(rows):
             assert math.prod(diag[:k]) == divisor
         else:
             assert divisor == 0
-
-
-@settings(max_examples=100, deadline=None)
-@given(matrices)
-def test_smith_form_transforms_diagonalize(rows):
-    m, n = len(rows), len(rows[0])
-    diag, U, Uinv, V, Vinv = smith_form(
-        [r[:] for r in rows], n, track_rows=True, track_cols=True
-    )
-
-    def mul(x, y):
-        return [[sum(a * b for a, b in zip(r, c)) for c in zip(*y)] for r in x]
-
-    d = mul(mul(U, rows), V)
-    assert all(
-        d[i][j] == (diag[i] if i == j and i < len(diag) else 0)
-        for i in range(m)
-        for j in range(n)
-    )
-    assert mul(U, Uinv) == [[int(i == j) for j in range(m)] for i in range(m)]
-    assert mul(V, Vinv) == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_backend_reported():

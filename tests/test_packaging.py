@@ -1,5 +1,6 @@
 """The package builds offline: its build requirements are installed, and
-every third-party module the tests import is a declared test dependency."""
+every third-party module the tests import is a declared test dependency.
+Every name the package exports resolves."""
 
 import ast
 import sys
@@ -54,3 +55,12 @@ def test_test_imports_are_declared():
                 continue
             dists = {canonicalize_name(d) for d in providers.get(module, ())}
             assert dists & declared, f"{path.name} imports undeclared {module}"
+
+
+def test_exports_resolve_once():
+    import homcx
+
+    names = homcx.__all__
+    assert len(names) == len(set(names)), "a name is exported twice"
+    missing = [name for name in names if not hasattr(homcx, name)]
+    assert not missing, f"exported but not defined: {missing}"
