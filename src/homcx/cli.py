@@ -7,6 +7,7 @@ input, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .graphs import Graph
 from .homology import cellular_chain_complex, homology
-from .homs import DEFAULT_CELL_CAP, enumerate_cells, x_homotopy_classes
+from .homs import DEFAULT_CELL_CAP, HomComplex, _DSU, enumerate_cells
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -43,10 +44,25 @@ def _default_cap() -> int:
     env = os.environ.get("HOMCX_CAP")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise InvalidParameterError("HOMCX_CAP must be an integer")
+        if cap < 0:
+            raise InvalidParameterError("HOMCX_CAP must not be negative")
+        return cap
     return DEFAULT_CELL_CAP
+
+
+def _nonnegative_int(text: str) -> int:
+    """An argparse type for caps and budgets: 0 is legal, a negative
+    value is a parameter error (exit 2), not a limit hit later."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return value
 
 
 def _load_graph(path: str) -> Graph:
@@ -88,6 +104,19 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
+def _class_count(k: HomComplex) -> int:
+    """The number of x-homotopy classes of maps T -> G, as components of
+    the 1-skeleton of Hom(T, G): its 0-cells are the maps, and a 1-cell
+    is exactly one x-homotopy move between its two facets."""
+    if len(k) == 0:
+        return 0
+    maps = k.offsets[1]
+    dsu = _DSU(maps)
+    for i in k.cells_of_dim(1):
+        dsu.union(*k.facets(i))
+    return len({dsu.find(i) for i in range(maps)})
+
+
 def cmd_hom(args) -> int:
     cap = args.cap if args.cap is not None else _default_cap()
     t = _load_graph(args.t_path)
@@ -112,8 +141,7 @@ def cmd_hom(args) -> int:
                 "torsion:", [list(tor) for tor in profile.torsion]
             )
     if args.classes or show_all:
-        classes = x_homotopy_classes(t, g, cap=cap)
-        print("x-homotopy classes:", len(classes))
+        print("x-homotopy classes:", _class_count(k))
     return EXIT_OK
 
 
@@ -159,7 +187,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``homcx`` parser, built once per process on first use and
+    shared by every call of ``main``, so nothing may modify it."""
     parser = argparse.ArgumentParser(
         prog="homcx",
         description="Hom complexes of graphs: homology, constructions, "
@@ -173,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("--homology", action="store_true")
     p_hom.add_argument("--cells", action="store_true")
     p_hom.add_argument("--classes", action="store_true")
-    p_hom.add_argument("--cap", type=int, default=None)
+    p_hom.add_argument("--cap", type=_nonnegative_int, default=None)
     p_hom.set_defaults(func=cmd_hom)
 
     p_con = sub.add_parser(
@@ -183,18 +214,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--g", dest="g_path", required=True)
     p_con.add_argument("--n", type=int, required=True)
     p_con.add_argument("--seed", type=int, default=0)
-    p_con.add_argument("--cap", type=int, default=None)
+    p_con.add_argument("--cap", type=_nonnegative_int, default=None)
     p_con.add_argument(
-        "--node-budget", type=int, default=DEFAULT_NODE_BUDGET
+        "--node-budget", type=_nonnegative_int, default=DEFAULT_NODE_BUDGET
     )
     p_con.add_argument("--out", default=None)
     p_con.set_defaults(func=cmd_construct)
 
     p_ver = sub.add_parser("verify", help="recheck a certificate")
     p_ver.add_argument("cert_path")
-    p_ver.add_argument("--cap", type=int, default=None)
+    p_ver.add_argument("--cap", type=_nonnegative_int, default=None)
     p_ver.add_argument(
-        "--node-budget", type=int, default=DEFAULT_NODE_BUDGET
+        "--node-budget", type=_nonnegative_int, default=DEFAULT_NODE_BUDGET
     )
     p_ver.set_defaults(func=cmd_verify)
     return parser

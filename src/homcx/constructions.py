@@ -37,8 +37,8 @@ from .graphs import (
 from .homs import (
     DEFAULT_CELL_CAP,
     HomComplex,
+    _hom_mappings,
     enumerate_cells,
-    enumerate_homs,
     pushforward,
 )
 
@@ -609,7 +609,7 @@ def covering_split(
     a_empty: Optional[bool] = None
     if not is_bipartite(t):
         a_graph = h.induced(sorted(a_set))
-        a_empty = len(enumerate_homs(t, a_graph, cap=cap)) == 0
+        a_empty = not _hom_mappings(t, a_graph, cap=cap)
     return SplitReport(
         union_covers=union_ok,
         intersection_matches=(overlap_cells == in_both),

@@ -194,10 +194,10 @@ def _bfs_order(g: Graph) -> list[int]:
     return order
 
 
-def enumerate_homs(
+def _hom_mappings(
     t: Graph, g: Graph, cap: int = DEFAULT_HOM_CAP
-) -> list[GraphHom]:
-    """All graph homomorphisms t -> g, in lexicographic map order."""
+) -> list[tuple[int, ...]]:
+    """The mapping tuples of all graph homomorphisms t -> g, sorted."""
     order = _bfs_order(t)
     pos = {v: i for i, v in enumerate(order)}
     next_adj: list[list[int]] = [[] for _ in order]
@@ -218,10 +218,16 @@ def enumerate_homs(
     raw = _kernels.search_homs(next_adj, t_loop, g_adj, g_loop_mask, g.n, cap)
     if raw is None:
         raise ResourceLimitError(f"more than {cap} homomorphisms")
-    maps = sorted(
+    return sorted(
         tuple(assignment[pos[v]] for v in range(t.n)) for assignment in raw
     )
-    return [GraphHom(t, g, m) for m in maps]
+
+
+def enumerate_homs(
+    t: Graph, g: Graph, cap: int = DEFAULT_HOM_CAP
+) -> list[GraphHom]:
+    """All graph homomorphisms t -> g, in lexicographic map order."""
+    return [GraphHom(t, g, m) for m in _hom_mappings(t, g, cap=cap)]
 
 
 def enumerate_cells(
@@ -231,7 +237,7 @@ def enumerate_cells(
     homomorphism of its least vertices, adding vertices to its sets in
     increasing order: source vertex by source vertex, and within one set
     by target vertex."""
-    homs = enumerate_homs(t, g, cap=cap)
+    homs = _hom_mappings(t, g, cap=cap)
     adj = g.adjacency_masks
     t_adj = [sorted(t.adjacency[v]) for v in range(t.n)]
     full = (1 << g.n) - 1
@@ -253,7 +259,7 @@ def enumerate_cells(
         return out
 
     cells: list[tuple[int, ...]] = []
-    stack = [(tuple(1 << x for x in f.mapping), 0) for f in homs]
+    stack = [(tuple(1 << x for x in f), 0) for f in homs]
     while stack:
         masks, first = stack.pop()
         cells.append(masks)

@@ -269,3 +269,82 @@ def test_verify_detects_tampered_parts(tmp_path, capsys, looped_cert_text):
     path.write_text(json.dumps(obj))
     assert main(["verify", str(path)]) == 5
     assert "FAIL parts" in capsys.readouterr().out
+
+
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("option", ["--cap", "--node-budget"])
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_cli_negative_cap_or_budget_is_a_parameter_error(
+    tmp_path, looped_cert_text, command, option
+):
+    out = tmp_path / "out.json"
+    if command == "construct":
+        fam = graph_file(tmp_path, "k2.json", complete_graph(2))
+        loop = graph_file(tmp_path, "loop.json", Graph(2, [(0, 0), (0, 1)]))
+        argv = ["construct", "--family", fam, "--g", loop, "--n", "2",
+                "--out", str(out)]
+    else:
+        cert = tmp_path / "cert.json"
+        cert.write_text(looped_cert_text)
+        argv = ["verify", str(cert)]
+    assert _exit_code(argv + [option, "-1"]) == 2
+    assert not out.exists()
+
+
+def test_cli_hom_negative_cap_is_a_parameter_error(tmp_path, capsys):
+    t = graph_file(tmp_path, "k2.json", complete_graph(2))
+    g = graph_file(tmp_path, "k3.json", complete_graph(3))
+    assert _exit_code(["hom", t, g, "--cap", "-5"]) == 2
+    assert "more than" not in capsys.readouterr().err
+    # 0 is a legal cap that Hom(K2, K3) exceeds
+    assert _exit_code(["hom", t, g, "--cap", "0"]) == 3
+
+
+def test_cli_cap_env_negative_is_a_parameter_error(
+    tmp_path, monkeypatch, looped_cert_text
+):
+    t = graph_file(tmp_path, "k2.json", complete_graph(2))
+    g = graph_file(tmp_path, "k3.json", complete_graph(3))
+    loop = graph_file(tmp_path, "loop.json", Graph(2, [(0, 0), (0, 1)]))
+    cert = tmp_path / "cert.json"
+    cert.write_text(looped_cert_text)
+    out = tmp_path / "out.json"
+    monkeypatch.setenv("HOMCX_CAP", "-1")
+    assert main(["hom", t, g]) == 2
+    assert main(["construct", "--family", t, "--g", loop, "--n", "2",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["verify", str(cert)]) == 2
+    monkeypatch.setenv("HOMCX_CAP", "0")
+    assert main(["hom", t, g]) == 3
+
+
+def test_cli_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    t = graph_file(tmp_path, "k2.json", complete_graph(2))
+    g = graph_file(tmp_path, "c5.json", cycle_graph(5))
+    assert main(["hom", t, g, "--cap", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than 1 homomorphisms" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["hom", t])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["hom", t, g]) == 0
+    assert capsys.readouterr().out == (
+        "cells: 20\n"
+        "  dim 0: 10\n"
+        "  dim 1: 10\n"
+        "betti: [1, 1]\n"
+        "torsion: [[], []]\n"
+        "x-homotopy classes: 1\n"
+    )
+    assert main(["hom", t, g, "--cells"]) == 0
+    assert capsys.readouterr().out == "cells: 20\n  dim 0: 10\n  dim 1: 10\n"

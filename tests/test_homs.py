@@ -1,9 +1,13 @@
 """Hom complexes: enumeration, cell maps, the Z_2 action."""
 
+import contextlib
+import io
 import itertools
+import os
+import tempfile
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from homcx.builders import (
     complete_graph,
@@ -11,6 +15,7 @@ from homcx.builders import (
     path_graph,
     petersen_graph,
 )
+from homcx.cli import main
 from homcx.errors import ResourceLimitError
 from homcx.graphs import Graph, GraphHom
 from homcx.homs import (
@@ -220,6 +225,54 @@ def test_x_homotopy_collapses_to_one_class():
     # maps K_2 -> K_3 all connected through single-vertex moves
     classes = x_homotopy_classes(complete_graph(2), complete_graph(3))
     assert len(classes) == 1 and len(classes[0]) == 6
+
+
+def _face_poset_components(k):
+    parent = list(range(len(k)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(len(k)):
+        for j in k.facets(i):
+            parent[find(j)] = find(i)
+    return len({find(i) for i in range(len(k))})
+
+
+def _printed_class_count(t, g):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, graph in (("t", t), ("g", g)):
+            paths.append(os.path.join(tmp, f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                fh.write(graph.to_json())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["hom", *paths, "--classes"]) == 0
+    prefix = "x-homotopy classes: "
+    assert out.getvalue().startswith(prefix)
+    return int(out.getvalue()[len(prefix):])
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=graphs(3, loops=True, min_n=0), g=graphs(4, loops=True, min_n=0))
+@example(t=Graph(0, []), g=Graph(0, []))
+@example(t=Graph(0, []), g=complete_graph(2))
+@example(t=complete_graph(2), g=Graph(0, []))
+@example(t=complete_graph(3), g=complete_graph(2))  # empty complex
+@example(t=Graph(2, [(0, 0), (0, 1)]), g=Graph(3, [(0, 0), (1, 1), (0, 1), (1, 2)]))
+@example(t=Graph(3, [(0, 1)]), g=cycle_graph(4))  # isolated source vertex
+@example(t=Graph(1, [(0, 0)]), g=Graph(3, [(0, 0), (1, 1), (2, 2), (0, 1)]))
+def test_classes_are_components_of_the_one_skeleton(t, g):
+    k = enumerate_cells(t, g)
+    maps = k.masks[: k.offsets[1]] if len(k) else ()
+    assert [tuple(m.bit_length() - 1 for m in ms) for ms in maps] == [
+        f.mapping for f in enumerate_homs(t, g)
+    ]
+    classes = len(x_homotopy_classes(t, g))
+    assert _printed_class_count(t, g) == classes == _face_poset_components(k)
 
 
 def test_involution_flipping_flag():

@@ -1,8 +1,11 @@
 """The package builds offline: its build requirements are installed, and
 every third-party module the tests import is a declared test dependency.
-Every name the package exports resolves."""
+Every name the package exports, and every function the benchmark's
+tracer wraps, resolves."""
 
 import ast
+import importlib
+import importlib.util
 import sys
 import tomllib
 from importlib import metadata
@@ -64,3 +67,14 @@ def test_exports_resolve_once():
     assert len(names) == len(set(names)), "a name is exported twice"
     missing = [name for name in names if not hasattr(homcx, name)]
     assert not missing, f"exported but not defined: {missing}"
+
+
+def test_traced_functions_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _, _ in tracing.WRAPPED:
+        fn = getattr(importlib.import_module(module), attr, None)
+        assert callable(fn), f"tracer wraps {module}.{attr}, which is gone"
