@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
+from .builders import complete_graph
 from .errors import InvalidParameterError, ResourceLimitError
 from .graphs import Graph, GraphHom, is_bipartite
 
@@ -22,22 +24,50 @@ def greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
+def _dsatur_scores(g: Graph) -> tuple[list[int], int]:
+    """Each vertex's DSATUR key packed into one integer, and the weight
+    one more neighbour color adds to it.
+
+    The key orders vertices by most distinct neighbour colors, then
+    highest degree, then least index: ``sat*n*(n+1) + deg*n + (n-1-u)``
+    with ``deg <= n``, so distinct vertices never tie and ``u`` is
+    ``n - 1 - score % n``.  Scores start at saturation 0.
+    """
+    n = g.n
+    score = [len(a) * n + (n - 1 - u) for u, a in enumerate(g.adjacency)]
+    return score, n * (n + 1)
+
+
 def greedy_coloring(g: Graph) -> list[int]:
-    """DSATUR greedy coloring; an upper bound for the exact solver."""
+    """DSATUR greedy coloring; an upper bound for the exact solver.
+
+    Colors vertices in DSATUR key order, each with its lowest free
+    color.  A lazy heap holds negated keys: a vertex gets a new entry
+    whenever its saturation rises, so its newest entry comes out first,
+    and the entries left of a colored vertex (seen mask -1) are skipped.
+    """
+    n = g.n
     adj = g.adjacency
-    colors = [-1] * g.n
-    sat: list[set[int]] = [set() for _ in range(g.n)]
-    for _ in range(g.n):
-        v = max(
-            (u for u in range(g.n) if colors[u] == -1),
-            key=lambda u: (len(sat[u]), len(adj[u]), -u),
-        )
-        c = 0
-        while c in sat[v]:
-            c += 1
+    colors = [-1] * n
+    seen = [0] * n  # bitmask of the colors on each vertex's neighbours
+    score, weight = _dsatur_scores(g)
+    heap = [-s for s in score]
+    heapify(heap)
+    while heap:
+        top = -heappop(heap)
+        v = n - 1 - top % n
+        m = seen[v]
+        if m < 0:
+            continue
+        c = (~m & (m + 1)).bit_length() - 1
         colors[v] = c
+        seen[v] = -1
+        bit = 1 << c
         for w in adj[v]:
-            sat[w].add(c)
+            if not seen[w] & bit:
+                seen[w] |= bit
+                score[w] += weight
+                heappush(heap, -score[w])
     return colors
 
 
@@ -100,47 +130,47 @@ def _ordered_k_coloring(
 def _k_coloring(g: Graph, k: int, budget: list[int]) -> Optional[list[int]]:
     """Find a k-coloring by DSATUR backtracking, or None.
 
-    New colors are introduced in index order (symmetry breaking).
-    ``budget`` is a single-cell mutable node countdown.
+    Branches on the uncolored vertex of highest DSATUR key; a colored
+    vertex scores -1.  New colors are introduced in index order
+    (symmetry breaking).  ``budget`` is a single-cell mutable node
+    countdown.
     """
+    n = g.n
     adj = g.adjacency
-    colors = [-1] * g.n
-    sat: list[set[int]] = [set() for _ in range(g.n)]
-
-    def pick() -> int:
-        return max(
-            (u for u in range(g.n) if colors[u] == -1),
-            key=lambda u: (len(sat[u]), len(adj[u]), -u),
-        )
-
-    def assign(v: int, c: int) -> list[int]:
-        colors[v] = c
-        touched = []
-        for w in adj[v]:
-            if colors[w] == -1 and c not in sat[w]:
-                sat[w].add(c)
-                touched.append(w)
-        return touched
-
-    def unassign(v: int, c: int, touched: list[int]) -> None:
-        colors[v] = -1
-        for w in touched:
-            sat[w].discard(c)
+    colors = [-1] * n
+    seen = [0] * n  # bitmask of the colors on each vertex's neighbours
+    score, weight = _dsatur_scores(g)
+    by_score = score.__getitem__
+    vertices = range(n)
 
     def backtrack(colored: int, used: int) -> bool:
-        if colored == g.n:
+        if colored == n:
             return True
         budget[0] -= 1
         if budget[0] < 0:
             raise ResourceLimitError("coloring node budget exceeded")
-        v = pick()
-        for c in range(min(used + 1, k)):
-            if c in sat[v]:
-                continue
-            touched = assign(v, c)
+        v = max(vertices, key=by_score)
+        saved = score[v]
+        score[v] = -1
+        free = ~seen[v] & ((1 << min(used + 1, k)) - 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
+            colors[v] = c
+            touched = []
+            for w in adj[v]:
+                if colors[w] == -1 and not seen[w] & bit:
+                    seen[w] |= bit
+                    score[w] += weight
+                    touched.append(w)
             if backtrack(colored + 1, max(used, c + 1)):
                 return True
-            unassign(v, c, touched)
+            for w in touched:
+                seen[w] ^= bit
+                score[w] -= weight
+        colors[v] = -1
+        score[v] = saved
         return False
 
     if backtrack(0, 0):
@@ -186,6 +216,4 @@ def chromatic_number(
 
 def coloring_hom(g: Graph, colors: list[int], k: int) -> GraphHom:
     """A proper coloring as a homomorphism into K_k."""
-    from .builders import build_named
-
-    return GraphHom(g, build_named("K", k), tuple(colors))
+    return GraphHom(g, complete_graph(k), tuple(colors))

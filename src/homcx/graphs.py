@@ -77,10 +77,15 @@ class Graph:
         return cached
 
     def has_loop(self) -> bool:
-        return any(u == v for u, v in self.edges)
+        return bool(self.loops())
 
     def loops(self) -> frozenset[int]:
-        return frozenset(u for u, v in self.edges if u == v)
+        """The vertices that carry a loop."""
+        cached = self.__dict__.get("_loops")
+        if cached is None:
+            cached = frozenset(u for u, v in self.edges if u == v)
+            self.__dict__["_loops"] = cached
+        return cached
 
     def is_simple(self) -> bool:
         return not self.has_loop()

@@ -52,6 +52,22 @@ def test_loops_and_simple():
     assert complete_graph(3).is_simple()
 
 
+@pytest.mark.parametrize(
+    "edges, loops",
+    [([(0, 1), (1, 2)], set()), ([(0, 1), (2, 2), (1, 1)], {1, 2})],
+)
+def test_cached_views_leave_equality_and_hash(edges, loops):
+    g = Graph(3, edges)
+    for _ in range(2):  # computed, then read from the cache
+        assert g.loops() == frozenset(loops)
+        assert g.has_loop() == bool(loops)
+        assert len(g.adjacency) == len(g.adjacency_masks) == 3
+    fresh = Graph(3, reversed(edges))
+    assert g == fresh and hash(g) == hash(fresh)
+    assert {g: 1}[fresh] == 1
+    assert fresh.loops() == frozenset(loops)
+
+
 def test_json_round_trip():
     g = petersen_graph()
     assert Graph.from_json(g.to_json()) == g
