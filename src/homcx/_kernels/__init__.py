@@ -1,5 +1,6 @@
 """The hot kernels: homomorphism search, Smith reduction and Morse
-reduction of chain complexes, implemented in ``_pure``."""
+reduction of chain complexes, implemented in ``_pure``.  The Morse
+reduction reads the boundary columns it is given and never writes them."""
 
 from ._pure import reduce_chain_complex, search_homs, snf_diagonal
 

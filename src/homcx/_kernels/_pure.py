@@ -3,7 +3,8 @@
 Two inner loops dominate the whole library: backtracking enumeration of
 graph homomorphisms and integer reduction of boundary matrices.  Both are
 implemented here on plain Python ints (vertex sets as bitmasks, exact
-arbitrary-precision matrix entries).
+arbitrary-precision matrix entries).  The Morse reduction only deletes
+cells, so it reads the boundary columns and never copies or writes them.
 """
 
 from __future__ import annotations
@@ -239,6 +240,11 @@ def reduce_chain_complex(ranks, cols):
     generator.  All removed pairs are unit-pivot eliminations, so Betti
     numbers and torsion are unchanged.
 
+    Both moves only delete cells, so ``cols`` is read and never written.
+    Each cell keeps the count and the index sum of its live faces and of
+    its live cofaces: when a count is 1, the sum is the one live
+    neighbour, and its coefficient is read from ``cols``.
+
     Returns (new_ranks, new_cols, extra_b0) where new_cols index the
     surviving cells densely per dimension and extra_b0 counts the
     retired 0-cells.
@@ -246,44 +252,44 @@ def reduce_chain_complex(ranks, cols):
     from collections import deque
 
     dims = len(ranks)
-    col = [[dict(c) for c in cols[d]] for d in range(dims)]
-    row = [None] * dims  # row[d][i]: cofaces in dim d of (d-1)-cell i
-    for d in range(1, dims):
-        r = [dict() for _ in range(ranks[d - 1])]
-        for j, c in enumerate(col[d]):
-            for i, v in c.items():
-                r[i][j] = v
-        row[d] = r
     live = [[True] * r for r in ranks]
+    # cof[d][i]: the (d+1)-cells with d-cell i in their boundary
+    cof = [[[] for _ in range(r)] for r in ranks]
+    for d in range(1, dims):
+        lower = cof[d - 1]
+        for j, col in enumerate(cols[d]):
+            for i in col:
+                lower[i].append(j)
+    n_face = [[len(col) for col in cols[d]] for d in range(dims)]
+    s_face = [[sum(col) for col in cols[d]] for d in range(dims)]
+    n_cof = [[len(up) for up in cof[d]] for d in range(dims)]
+    s_cof = [[sum(up) for up in cof[d]] for d in range(dims)]
     queue = deque()
     for d in range(1, dims):
-        for j, c in enumerate(col[d]):
-            if len(c) == 1:
-                queue.append(("cor", d, j))
-        for i, r in enumerate(row[d]):
-            if len(r) == 1:
-                queue.append(("col", d, i))
+        queue.extend(("cor", d, j) for j, n in enumerate(n_face[d]) if n == 1)
+        queue.extend(("col", d, i) for i, n in enumerate(n_cof[d - 1]) if n == 1)
 
-    def drop_upper_row(d, j):
-        # cell (d, j) disappears: clear its entries in dim d+1 columns
+    def drop_faces(d, x):
+        # dead cell (d, x) leaves the coface counts of its live faces
+        if d:
+            alive, n, s = live[d - 1], n_cof[d - 1], s_cof[d - 1]
+            for i in cols[d][x]:
+                if alive[i]:
+                    n[i] -= 1
+                    s[i] -= x
+                    if n[i] == 1:
+                        queue.append(("col", d, i))
+
+    def drop_cofaces(d, x):
+        # dead cell (d, x) leaves the face counts of its live cofaces
         if d + 1 < dims:
-            for e in list(row[d + 1][j]):
-                c = col[d + 1][e]
-                del c[j]
-                if len(c) == 1:
-                    queue.append(("cor", d + 1, e))
-            row[d + 1][j] = {}
-
-    def drop_own_column(d, i):
-        # cell (d, i) disappears: detach it from its faces' coface rows
-        if d >= 1:
-            for i2 in col[d][i]:
-                r = row[d][i2]
-                if i in r:
-                    del r[i]
-                    if len(r) == 1:
-                        queue.append(("col", d, i2))
-            col[d][i] = {}
+            alive, n, s = live[d + 1], n_face[d + 1], s_face[d + 1]
+            for j in cof[d][x]:
+                if alive[j]:
+                    n[j] -= 1
+                    s[j] -= x
+                    if n[j] == 1:
+                        queue.append(("cor", d + 1, j))
 
     extra_b0 = 0
     seed_at = 0
@@ -296,69 +302,45 @@ def reduce_chain_complex(ranks, cols):
                 break
             live[0][seed_at] = False
             extra_b0 += 1
-            drop_upper_row(0, seed_at)
+            drop_cofaces(0, seed_at)
             continue
         kind, d, x = queue.popleft()
         if kind == "cor":
             j = x
-            if not live[d][j] or len(col[d][j]) != 1:
+            if not live[d][j] or n_face[d][j] != 1:
                 continue
-            (i, coef), = col[d][j].items()
-            if coef not in (1, -1) or not live[d - 1][i]:
-                continue
-            live[d][j] = False
-            live[d - 1][i] = False
-            # clearing row i needs no arithmetic: every other column's
-            # i-entry is a multiple of the unit pivot's full column {i}
-            for j2 in list(row[d][i]):
-                if j2 == j:
-                    continue
-                c = col[d][j2]
-                del c[i]
-                if len(c) == 1:
-                    queue.append(("cor", d, j2))
-            row[d][i] = {}
-            col[d][j] = {}
-            drop_upper_row(d, j)
-            drop_own_column(d - 1, i)
+            i = s_face[d][j]
         else:
             i = x
-            if d >= dims or not live[d - 1][i] or len(row[d][i]) != 1:
+            if not live[d - 1][i] or n_cof[d - 1][i] != 1:
                 continue
-            (j, coef), = row[d][i].items()
-            if coef not in (1, -1) or not live[d][j]:
-                continue
-            live[d - 1][i] = False
-            live[d][j] = False
-            row[d][i] = {}
-            for i3 in list(col[d][j]):
-                if i3 == i:
-                    continue
-                r = row[d][i3]
-                del r[j]
-                if len(r) == 1:
-                    queue.append(("col", d, i3))
-            col[d][j] = {}
-            drop_upper_row(d, j)
-            drop_own_column(d - 1, i)
+            j = s_cof[d - 1][i]
+        if cols[d][j][i] not in (1, -1):
+            continue
+        live[d][j] = False
+        live[d - 1][i] = False
+        # j has no other live face in a coreduction and i no other live
+        # coface in a collapse; this order of the updates fixes the queue
+        # order, and with it which cells survive
+        drop_cofaces(d - 1, i)
+        drop_faces(d, j)
+        drop_cofaces(d, j)
+        drop_faces(d - 1, i)
 
-    remap = []
+    # the surviving columns, restricted to live rows, indexed densely
     new_ranks = []
-    for d in range(dims):
-        m = {}
-        for idx in range(ranks[d]):
-            if live[d][idx]:
-                m[idx] = len(m)
-        remap.append(m)
-        new_ranks.append(len(m))
     new_cols = []
+    lower = {}
     for d in range(dims):
+        remap = {}
         out = []
-        lower = remap[d - 1] if d else {}
-        for idx in range(ranks[d]):
-            if live[d][idx]:
-                out.append({lower[i]: v for i, v in col[d][idx].items()})
+        for idx, alive in enumerate(live[d]):
+            if alive:
+                remap[idx] = len(remap)
+                out.append({lower[i]: v for i, v in cols[d][idx].items() if i in lower})
+        new_ranks.append(len(remap))
         new_cols.append(out)
+        lower = remap
     while new_ranks and new_ranks[-1] == 0:
         new_ranks.pop()
         new_cols.pop()

@@ -405,13 +405,6 @@ def product(g: Graph, h: Graph) -> Graph:
     return Graph(g.n * h.n, edges)
 
 
-def product_projections(g: Graph, h: Graph) -> tuple[Graph, GraphHom, GraphHom]:
-    p = product(g, h)
-    to_g = GraphHom(p, g, tuple(i // h.n for i in range(p.n)))
-    to_h = GraphHom(p, h, tuple(i % h.n for i in range(p.n)))
-    return p, to_g, to_h
-
-
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Side-by-side union; g2's vertices are shifted by g1.n."""
     edges = list(g1.edges)

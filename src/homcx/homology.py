@@ -94,15 +94,17 @@ class ChainComplex:
 
         With unit coefficients throughout, the boundary of column j's
         boundary is zero iff the rows it reaches with +1 and with -1 form
-        the same multiset; other columns are summed in a dict.
+        the same multiset; other columns are summed in a dict.  The rows
+        are kept as tuples of ints, which the garbage collector stops
+        tracking, so they add no work to its later collections.
         """
         for d in range(2, len(self.ranks)):
             lower = self.boundaries[d - 1]
             plus: list = []  # per lower column: its +1 rows, or None
             minus: list = []  # its -1 rows
             for col in lower:
-                p = [i for i, c in col.items() if c == 1]
-                m = [i for i, c in col.items() if c == -1]
+                p = tuple([i for i, c in col.items() if c == 1])
+                m = tuple([i for i, c in col.items() if c == -1])
                 unit = len(p) + len(m) == len(col)
                 plus.append(p if unit else None)
                 minus.append(m if unit else None)
@@ -148,10 +150,11 @@ def cellular_chain_complex(k: HomComplex) -> ChainComplex:
     if top < 0:
         return ChainComplex((), ())
     index, offsets = k.index, k.offsets
+    # each cell's index within its dimension, one shared int per cell
+    local = [j for a, b in zip(offsets, offsets[1:]) for j in range(b - a)]
     drops: dict[int, list[int]] = {}  # mask -> its masks one vertex smaller
     boundaries = [[{} for _ in range(offsets[1])]]
     for d in range(1, top + 1):
-        base = offsets[d - 1]
         cols = []
         for masks in k.masks[offsets[d]:offsets[d + 1]]:
             cell = list(masks)
@@ -166,7 +169,7 @@ def cellular_chain_complex(k: HomComplex) -> ChainComplex:
                 sign = -1 if shift & 1 else 1
                 for face in smaller:
                     cell[v] = face
-                    col[index[tuple(cell)] - base] = sign
+                    col[local[index[tuple(cell)]]] = sign
                     sign = -sign
                 cell[v] = m
                 shift += len(smaller) - 1

@@ -76,6 +76,17 @@ def test_dd_zero_enforced():
         ChainComplex([1, 1, 1], [[{}], [{0: 1}], [{0: 1}]])
 
 
+def test_dd_zero_sums_non_unit_columns_exactly():
+    # a non-unit coefficient sends a column to the summing fallback
+    ChainComplex([1, 1, 1], [[{}], [{}], [{0: 2}]])
+    with pytest.raises(AssertionError):
+        ChainComplex([2, 1, 1], [[{}, {}], [{0: 1, 1: -1}], [{0: 2}]])
+    # so does a unit column over a non-unit lower column
+    ChainComplex([1, 2, 1], [[{}], [{0: 2}, {0: 2}], [{0: 1, 1: -1}]])
+    with pytest.raises(AssertionError):
+        ChainComplex([1, 2, 1], [[{}], [{0: 2}, {0: 2}], [{0: 1, 1: 1}]])
+
+
 @st.composite
 def graphs(draw, max_n, min_n=1):
     n = draw(st.integers(min_n, max_n))
@@ -162,7 +173,7 @@ def test_cellular_matches_order_complex_on_random_instances():
 
 def test_reduction_preserves_homology_on_random_complexes():
     # compare full SNF on the raw complex against the reduced route
-    from homcx._kernels import reduce_chain_complex, snf_diagonal
+    from homcx._kernels import snf_diagonal
 
     rng = random.Random(5)
     for _ in range(25):
@@ -171,16 +182,15 @@ def test_reduction_preserves_homology_on_random_complexes():
         if len(k) == 0:
             continue
         c = cellular_chain_complex(k)
-        # raw Betti from ranks without reduction
-        raw = []
+        # raw Betti numbers and torsion from the Smith diagonal, unreduced
         dims = len(c.ranks)
-        ranks_of_d = [len(snf_diagonal(c.boundaries[d], c.ranks[d - 1])) if d else 0 for d in range(dims)]
-        for d in range(dims):
-            upper = ranks_of_d[d + 1] if d + 1 < dims else 0
-            raw.append(c.ranks[d] - ranks_of_d[d] - upper)
-        betti = list(homology(c).betti)
-        width = max(len(betti), len(raw))
-        assert betti + [0] * (width - len(betti)) == raw + [0] * (width - len(raw))
+        factors = [snf_diagonal(c.boundaries[d], c.ranks[d - 1]) for d in range(1, dims)]
+        factors = [[]] + factors + [[]]
+        raw = HomologyProfile.make(
+            [c.ranks[d] - len(factors[d]) - len(factors[d + 1]) for d in range(dims)],
+            [[f for f in factors[d + 1] if f > 1] for d in range(dims)],
+        )
+        assert homology(c) == raw
 
 
 def test_induced_map_identity_is_isomorphism():
