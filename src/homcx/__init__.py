@@ -1,7 +1,6 @@
 """Hom complexes of graphs: cells, homology, and chromatic constructions."""
 
 from .builders import (
-    build_named,
     chi4_girth5_graph,
     circulant_graph,
     complete_graph,
@@ -103,7 +102,6 @@ __all__ = [
     "induced_map_homology",
     "circulant_graph",
     "chi4_girth5_graph",
-    "build_named",
     "load_certificate",
     "order_complex_homology",
     "path_graph",

@@ -1,8 +1,8 @@
-"""Named graph builders and the curated graph library."""
+"""Graph builders and the curated graph library."""
 
 from __future__ import annotations
 
-from .errors import InvalidParameterError, UnknownKindError
+from .errors import InvalidParameterError
 from .graphs import Graph
 
 
@@ -23,16 +23,6 @@ def path_graph(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError("L_n needs n >= 1")
     return Graph(n + 1, [(i, i + 1) for i in range(n)])
-
-
-def looped_interval(a: int, b: int) -> Graph:
-    """I_[a,b] relabeled to 0..b-a; a loop at every vertex."""
-    if a > b:
-        raise InvalidParameterError("interval needs a <= b")
-    n = b - a + 1
-    edges = [(i, i) for i in range(n)]
-    edges.extend((i, i + 1) for i in range(n - 1))
-    return Graph(n, edges)
 
 
 def petersen_graph() -> Graph:
@@ -72,15 +62,6 @@ def circulant_graph(n: int, offsets: tuple[int, ...]) -> Graph:
     return Graph(n, edges)
 
 
-# Curated high-girth, high-chromatic entries.  Each tuple is
-# (name, chromatic number, girth); both values are re-verified by the
-# exact solver wherever the entry is used in a construction.
-_HIGH_GIRTH_LIBRARY: list[tuple[str, int, int]] = [
-    ("petersen", 3, 5),
-    ("chi4_girth5", 4, 5),
-]
-
-
 # 21 vertices, 4-regular, girth 5, chromatic number 4 (both values
 # re-verified by tests with the exact solver and a brute-force oracle).
 _CHI4_GIRTH5_ADJ = {
@@ -98,49 +79,10 @@ def chi4_girth5_graph() -> Graph:
 
 
 def high_girth_library() -> list[tuple[str, int, int, Graph]]:
-    """Curated (name, chi, girth, graph) entries, smallest first."""
-    out = []
-    for name, chi, g in _HIGH_GIRTH_LIBRARY:
-        out.append((name, chi, g, build_named(name)))
-    out.sort(key=lambda item: item[3].n)
-    return out
-
-
-_NAMED = {
-    "petersen": petersen_graph,
-    "walker1": walker_graph_1,
-    "walker2": walker_graph_2,
-    "chi4_girth5": chi4_girth5_graph,
-}
-
-
-def build_named(kind: str, *params: int) -> Graph:
-    """Build a graph from a builder tag and integer parameters.
-
-    Tags: ``K`` (complete), ``C`` (cycle), ``L`` (path), ``I`` (looped
-    interval, params a b), and parameterless library names.
-    """
-    tag = kind.lower()
-    if tag in ("k", "complete"):
-        _need(params, 1, kind)
-        return complete_graph(params[0])
-    if tag in ("c", "cycle"):
-        _need(params, 1, kind)
-        return cycle_graph(params[0])
-    if tag in ("l", "path"):
-        _need(params, 1, kind)
-        return path_graph(params[0])
-    if tag in ("i", "interval"):
-        _need(params, 2, kind)
-        return looped_interval(params[0], params[1])
-    if tag in _NAMED:
-        _need(params, 0, kind)
-        return _NAMED[tag]()
-    raise UnknownKindError(f"unknown graph kind {kind!r}")
-
-
-def _need(params: tuple[int, ...], count: int, kind: str) -> None:
-    if len(params) != count:
-        raise InvalidParameterError(
-            f"kind {kind!r} takes {count} parameter(s), got {len(params)}"
-        )
+    """Curated (name, chi, girth, graph) entries, smallest first.  The
+    chi and girth values are re-verified by the exact solver wherever an
+    entry is used in a construction."""
+    return [
+        ("petersen", 3, 5, petersen_graph()),
+        ("chi4_girth5", 4, 5, chi4_girth5_graph()),
+    ]

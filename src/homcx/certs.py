@@ -19,6 +19,7 @@ from .constructions import (
     _verify_member,
     _z2_summary,
     cylinder_sweep_order,
+    duplicate_names,
     glue_cylinder,
     uniformly_small_m,
 )
@@ -109,6 +110,11 @@ def load_certificate(text: str) -> LoadedCertificate:
         raise GraphFormatError("certificate must be a JSON object")
     try:
         family = [FamilyMember.from_json_obj(entry) for entry in obj["family"]]
+        duplicates = duplicate_names(family)
+        if duplicates:
+            raise GraphFormatError(
+                f"family member names must be distinct: {', '.join(duplicates)}"
+            )
         graphs = obj["graphs"]
         g = Graph.from_json_obj(graphs["G"])
         x = None if graphs["X"] is None else Graph.from_json_obj(graphs["X"])
@@ -217,6 +223,10 @@ def verify_certificate(
             z2_triples.append(report.z2)
             if not all(report.z2):
                 problems.append(f"z2.{member.name}")
+
+    members = {member.name for member in cert.family}
+    for name in sorted(set(cert.profiles) - members):
+        problems.append(f"profiles.{name} (not a family member)")
 
     if cert.z2 != _z2_summary(z2_triples):
         problems.append("z2")

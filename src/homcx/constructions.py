@@ -8,7 +8,6 @@ whose Hom complexes (per test graph) have the same homology as G's.
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -36,7 +35,6 @@ from .graphs import (
 )
 from .homs import (
     DEFAULT_CELL_CAP,
-    HomComplex,
     _hom_mappings,
     enumerate_cells,
     pushforward,
@@ -417,45 +415,21 @@ def uniformly_small_m(family: Sequence[Graph]) -> int:
 @dataclass(frozen=True)
 class HighGirthResult:
     graph: Graph
-    source: str  # "odd-cycle", library name, or "random"
+    source: str  # "odd-cycle" or a library name
     chi: int
     girth: int
-
-
-def _short_cycle_edge(g: Graph, bound: int) -> Optional[tuple[int, int]]:
-    """An edge lying on some cycle shorter than ``bound``, or None."""
-    adj = g.adjacency
-    for s in range(g.n):
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= bound:
-                continue
-            for t in adj[u]:
-                if t not in dist:
-                    dist[t] = dist[u] + 1
-                    parent[t] = u
-                    queue.append(t)
-                elif parent[u] != t and parent[t] != u:
-                    if dist[u] + dist[t] + 1 < bound:
-                        return (min(u, t), max(u, t))
-    return None
 
 
 def find_high_girth_high_chromatic(
     n: int,
     m: int,
-    seed: int = 0,
-    attempts: int = 400,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> HighGirthResult:
     """A connected graph with chromatic number > n and girth >= m.
 
-    Tries odd cycles, then the curated library, then seeded random
-    graphs with short-cycle deletion; every candidate is verified by the
-    exact girth and coloring routines before being returned.
+    Tries an odd cycle (n <= 2), then the curated library; every
+    candidate is verified by the exact girth and coloring routines
+    before being returned.
     """
     if n < 1 or m < 3:
         raise InvalidParameterError("need n >= 1 and m >= 3")
@@ -468,28 +442,6 @@ def find_high_girth_high_chromatic(
                 return _verified(graph, name, n, m, node_budget)
             except NotFoundWithinBudgetError:
                 continue
-    rng = random.Random(seed)
-    for attempt in range(attempts):
-        nv = 20 + 4 * (attempt // 20)
-        p = min(0.9, (3.0 + n) / nv)
-        edges = [
-            (u, v)
-            for u in range(nv)
-            for v in range(u + 1, nv)
-            if rng.random() < p
-        ]
-        candidate = Graph(nv, edges)
-        while True:
-            bad = _short_cycle_edge(candidate, m)
-            if bad is None:
-                break
-            candidate = candidate.delete_edge(*bad)
-        if not is_connected(candidate):
-            continue
-        try:
-            return _verified(candidate, "random", n, m, node_budget)
-        except (NotFoundWithinBudgetError, ResourceLimitError):
-            continue
     raise NotFoundWithinBudgetError(
         f"no verified graph with chi > {n} and girth >= {m} found"
     )
@@ -574,7 +526,6 @@ def covering_split(
     a_vertices: Sequence[int],
     b_vertices: Sequence[int],
     cap: int = DEFAULT_CELL_CAP,
-    complex: Optional[HomComplex] = None,
 ) -> SplitReport:
     """Check that every cell of Hom(t, h) factors through the A part or
     the B part, and that the overlap cells are exactly Hom(t, A&B).
@@ -588,9 +539,7 @@ def covering_split(
             outside_a |= 1 << x
         if x not in b_set:
             outside_b |= 1 << x
-    k = complex
-    if k is None:
-        k = enumerate_cells(t, h, cap=cap)
+    k = enumerate_cells(t, h, cap=cap)
     in_a = in_b = in_both = 0
     union_ok = True
     for masks in k.masks:
@@ -651,6 +600,13 @@ class FamilyMember:
         if default_name is None:
             raise GraphFormatError("family member must be an object with a graph")
         return FamilyMember(default_name, Graph.from_json_obj(obj), None)
+
+
+def duplicate_names(family: Sequence[FamilyMember]) -> list[str]:
+    """The names shared by two or more members, sorted; certificate
+    profiles are keyed by name, so a family needs distinct names."""
+    names = [member.name for member in family]
+    return sorted({name for name in names if names.count(name) > 1})
 
 
 @dataclass(frozen=True)
@@ -795,15 +751,20 @@ def theorem51_pipeline(
     seed: int = 0,
     cell_cap: int = DEFAULT_CELL_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    attempts: int = 400,
 ) -> PipelineCertificate:
     """Build H with chi(H) > n whose Hom complexes match G's homology
-    for every test graph in the family, and certify the run."""
+    for every test graph in the family, and certify the run.  The seed
+    is recorded in the certificate; the construction is deterministic."""
     if n < 1:
         raise InvalidParameterError("need n >= 1")
+    family = tuple(family)
+    duplicates = duplicate_names(family)
+    if duplicates:
+        raise InvalidParameterError(
+            f"family member names must be distinct: {', '.join(duplicates)}"
+        )
     if g.n == 0 or not is_connected(g):
         raise DisconnectedGraphError("input graph must be connected")
-    family = tuple(family)
     m = uniformly_small_m([member.graph for member in family])
 
     if g.has_loop():
@@ -836,9 +797,7 @@ def theorem51_pipeline(
     if is_bipartite(g):
         raise BipartiteInputError("loopless bipartite input has no odd cycle")
 
-    found = find_high_girth_high_chromatic(
-        n, m, seed=seed, attempts=attempts, node_budget=node_budget
-    )
+    found = find_high_girth_high_chromatic(n, m, node_budget=node_budget)
     x = found.graph
     length = int(odd_girth(g))
     repl = replace_edges_with_paths(x, length)
@@ -847,7 +806,7 @@ def theorem51_pipeline(
     gmap = embed_cycle.compose(repl.wrap)
     glue = glue_cylinder(x, repl.result, g, repl.collapse, gmap, m)
 
-    chi_x = chromatic_number(x, node_budget)
+    chi_x = found.chi
     sweep = cylinder_sweep_order(x.n, repl.result, g.n, m)
     chi_h = chromatic_number(glue.h, node_budget, order_hint=sweep)
     failed = not (chi_h >= chi_x > n)

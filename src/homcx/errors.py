@@ -9,10 +9,6 @@ class InvalidParameterError(HomcxError, ValueError):
     """A builder or operation received out-of-range parameters."""
 
 
-class UnknownKindError(HomcxError, ValueError):
-    """Unknown builder tag."""
-
-
 class GraphFormatError(HomcxError, ValueError):
     """Malformed graph JSON."""
 
@@ -38,4 +34,4 @@ class BipartiteInputError(HomcxError, ValueError):
 
 
 class NotFoundWithinBudgetError(HomcxError, RuntimeError):
-    """Randomized search exhausted its budget without a verified hit."""
+    """No verified graph with the requested properties was found."""

@@ -11,7 +11,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -337,76 +337,3 @@ def diameter(g: Graph) -> int:
                     queue.append(w)
         best = max(best, max(dist.values()))
     return best
-
-
-# -- folds ---------------------------------------------------------------
-
-
-def dismantlable_witness(g: Graph, v: int) -> Optional[int]:
-    """Some w != v with N(v) subseteq N(w), or None.
-
-    Neighborhoods are loop-inclusive: N(v) contains v iff v is looped.
-    Lowest-index witness is returned for determinism.
-    """
-    if not 0 <= v < g.n:
-        raise InvalidParameterError(f"no vertex {v}")
-    adj = g.adjacency
-    nv = adj[v]
-    for w in range(g.n):
-        if w != v and nv <= adj[w]:
-            return w
-    return None
-
-
-@dataclass(frozen=True)
-class FoldReduction:
-    """Result of greedy fold reduction."""
-
-    core: Graph
-    # (removed original label, witness original label) in removal order
-    removals: tuple[tuple[int, int], ...]
-    # kept[i] = original label of core vertex i
-    kept: tuple[int, ...]
-
-
-def fold_reduce(g: Graph) -> FoldReduction:
-    """Remove dismantlable vertices (lowest index first) until none remain."""
-    current = g
-    labels = list(range(g.n))
-    removals: list[tuple[int, int]] = []
-    while True:
-        found = None
-        for v in range(current.n):
-            w = dismantlable_witness(current, v)
-            if w is not None:
-                found = (v, w)
-                break
-        if found is None:
-            break
-        v, w = found
-        removals.append((labels[v], labels[w]))
-        del labels[v]
-        current = current.delete_vertex(v)
-    return FoldReduction(current, tuple(removals), tuple(labels))
-
-
-# -- binary constructions -------------------------------------------------
-
-
-def product(g: Graph, h: Graph) -> Graph:
-    """Categorical product; vertex (a,b) is labeled a*h.n + b."""
-    edges = []
-    for a, a2 in g.edges:
-        for b, b2 in h.edges:
-            edges.append((a * h.n + b, a2 * h.n + b2))
-            edges.append((a * h.n + b2, a2 * h.n + b))
-            edges.append((a2 * h.n + b, a * h.n + b2))
-            edges.append((a2 * h.n + b2, a * h.n + b))
-    return Graph(g.n * h.n, edges)
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Side-by-side union; g2's vertices are shifted by g1.n."""
-    edges = list(g1.edges)
-    edges.extend((u + g1.n, v + g1.n) for u, v in g2.edges)
-    return Graph(g1.n + g2.n, edges)

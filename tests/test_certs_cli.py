@@ -348,3 +348,47 @@ def test_cli_parser_keeps_no_state_between_calls(tmp_path, capsys):
     )
     assert main(["hom", t, g, "--cells"]) == 0
     assert capsys.readouterr().out == "cells: 20\n  dim 0: 10\n  dim 1: 10\n"
+
+
+def test_cli_construct_n3_has_no_base_graph(tmp_path, capsys):
+    fam = graph_file(tmp_path, "k2.json", complete_graph(2))
+    g = graph_file(tmp_path, "c5.json", cycle_graph(5))
+    out = tmp_path / "cert.json"
+    argv = ["construct", "--family", fam, "--g", g, "--n", "3", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: no verified graph with chi > 3 and girth >= 7 found\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_construct_rejects_duplicate_member_names(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    k2 = graph_file(tmp_path, "a/T.json", complete_graph(2))
+    k1 = graph_file(tmp_path, "b/T.json", Graph(1, []))
+    g = graph_file(
+        tmp_path, "g.json", Graph(5, [(0, 0)] + [(i, (i + 1) % 5) for i in range(5)])
+    )
+    out = tmp_path / "cert.json"
+    argv = ["construct", "--family", k2, k1, "--g", g, "--n", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert "names must be distinct: T" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_verify_rejects_duplicate_member_names(tmp_path, looped_cert_text):
+    obj = json.loads(looped_cert_text)
+    obj["family"].append(dict(obj["family"][0], graph={"n": 1, "edges": []}))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+
+
+def test_cli_verify_reports_profile_of_no_member(tmp_path, capsys, looped_cert_text):
+    obj = json.loads(looped_cert_text)
+    obj["profiles"]["ghost"] = obj["profiles"]["K2"]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 5
+    assert "FAIL profiles.ghost (not a family member)" in capsys.readouterr().out

@@ -31,6 +31,7 @@ from homcx.errors import (
     BipartiteInputError,
     DisconnectedGraphError,
     InvalidParameterError,
+    NotFoundWithinBudgetError,
 )
 from homcx.graphs import Graph, GraphHom, girth, odd_girth
 from homcx.homology import cellular_chain_complex, homology
@@ -156,18 +157,37 @@ def test_shortest_odd_cycle_embeds():
 
 
 def test_find_high_girth_deterministic():
-    a = find_high_girth_high_chromatic(2, 7, seed=3)
-    b = find_high_girth_high_chromatic(2, 7, seed=3)
+    a = find_high_girth_high_chromatic(2, 7)
+    b = find_high_girth_high_chromatic(2, 7)
     assert a.graph == b.graph
     assert a.chi > 2 and a.girth >= 7
     assert a.source == "odd-cycle"
 
 
 def test_find_high_girth_n3_verified():
-    res = find_high_girth_high_chromatic(3, 5, seed=0)
-    assert res.chi > 3
-    assert girth(res.graph) >= 5
-    assert chromatic_number(res.graph) == res.chi
+    res = find_high_girth_high_chromatic(3, 5)
+    assert res.source == "chi4_girth5"
+    assert res.chi == chromatic_number(res.graph) == 4
+    assert res.girth == girth(res.graph) == 5
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [3, 4, 7, 8])
+def test_find_high_girth_odd_cycle_for_small_n(n, m):
+    res = find_high_girth_high_chromatic(n, m)
+    assert res.source == "odd-cycle"
+    assert res.graph == cycle_graph(m if m % 2 else m + 1)
+    assert res.chi == chromatic_number(res.graph) == 3
+    assert res.girth == girth(res.graph) == res.graph.n
+
+
+@pytest.mark.parametrize("n, m", [(3, 7), (4, 5)])
+def test_find_high_girth_without_a_verified_graph(n, m):
+    with pytest.raises(NotFoundWithinBudgetError) as exc:
+        find_high_girth_high_chromatic(n, m)
+    assert str(exc.value) == (
+        f"no verified graph with chi > {n} and girth >= {m} found"
+    )
 
 
 def test_covering_split_small():

@@ -78,3 +78,69 @@ def test_traced_functions_resolve():
     for module, attr, _, _ in tracing.WRAPPED:
         fn = getattr(importlib.import_module(module), attr, None)
         assert callable(fn), f"tracer wraps {module}.{attr}, which is gone"
+
+
+def _catches_import_error(handler: ast.ExceptHandler) -> bool:
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, ast.Name) and t.id == "ImportError" for t in types)
+
+
+def _dotted(node: ast.Attribute) -> str:
+    """``a.b.c`` for an attribute chain on a plain name, else ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return ""
+    return ".".join([node.id] + parts[::-1])
+
+
+def _benchmark_references(path: Path) -> set[str]:
+    """Every homcx module, name and attribute a benchmark file imports or
+    reads, as dotted names.  Imports inside a ``try`` that catches
+    ImportError are left out: the benchmark expects those may fail."""
+    tree = ast.parse(path.read_text())
+    guarded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try) and any(map(_catches_import_error, node.handlers)):
+            guarded.update(id(inner) for stmt in node.body for inner in ast.walk(stmt))
+    refs = set()
+    for node in ast.walk(tree):
+        if id(node) in guarded:
+            continue
+        if isinstance(node, ast.Import):
+            refs.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            refs.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            refs.add(_dotted(node))
+    return {ref for ref in refs if ref.split(".")[0] == "homcx"}
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether the longest importable prefix of ``dotted`` has the rest
+    as a chain of attributes."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_benchmark_imports_resolve():
+    refs = {
+        (path.name, ref)
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        for ref in _benchmark_references(path)
+    }
+    assert refs, "the benchmark reads nothing from homcx"
+    missing = sorted((name, ref) for name, ref in refs if not _resolves(ref))
+    assert not missing, f"the benchmark reads names homcx lacks: {missing}"
