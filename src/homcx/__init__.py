@@ -16,7 +16,6 @@ from .constructions import (
     FamilyMember,
     PipelineCertificate,
     certificate_json,
-    covering_split,
     fiber_certificate,
     find_high_girth_high_chromatic,
     glue_cylinder,
@@ -89,7 +88,6 @@ __all__ = [
     "cellular_chain_complex",
     "chromatic_number",
     "complete_graph",
-    "covering_split",
     "cycle_graph",
     "enumerate_cells",
     "enumerate_homs",

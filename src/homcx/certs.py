@@ -158,6 +158,7 @@ def verify_certificate(
     if cert.m != uniformly_small_m([t.graph for t in cert.family]):
         problems.append("m")
 
+    glue = None  # the glued graph, once it matches the certificate's
     if cert.g.has_loop():
         if cert.h != cert.g:
             problems.append("graphs.H (looped input must give H = G)")
@@ -173,17 +174,29 @@ def verify_certificate(
         if cert.f is None or cert.gmap is None:
             problems.append("maps.f/maps.g missing")
             return problems
-        if cert.embed_x is None or len(set(cert.embed_x.mapping)) != cert.x.n:
-            problems.append("maps.embedX (not an embedding)")
-        if len(set(cert.embed_g.mapping)) != cert.g.n:
-            problems.append("maps.embedG (not an embedding)")
+        # the structural route argues about the glued graph, so H, its
+        # maps and its parts must be exactly what glue_cylinder builds
         try:
             glue = glue_cylinder(cert.x, cert.y, cert.g, cert.f, cert.gmap, cert.m)
-            parts = (glue.a_vertices, glue.b_vertices)
+            rebuilt = (
+                glue.h,
+                glue.embed_x.mapping,
+                glue.embed_g.mapping,
+                (glue.a_vertices, glue.b_vertices),
+            )
         except InvalidParameterError:
-            parts = None
-        if parts != (cert.a_vertices, cert.b_vertices):
-            problems.append("parts")
+            glue, rebuilt = None, (None,) * 4
+        given = (
+            cert.h,
+            None if cert.embed_x is None else cert.embed_x.mapping,
+            cert.embed_g.mapping,
+            (cert.a_vertices, cert.b_vertices),
+        )
+        fields = ("graphs.H", "maps.embedX", "maps.embedG", "parts")
+        for field, ours, theirs in zip(fields, rebuilt, given):
+            if ours != theirs:
+                problems.append(field)
+                glue = None
         chi_x = chromatic_number(cert.x, node_budget)
         if chi_x != cert.chi_x:
             problems.append("chiX")
@@ -209,7 +222,7 @@ def verify_certificate(
             continue
         try:
             report = _verify_member(
-                member, cert.g, cert.h, cert.embed_g, cell_cap
+                member, cert.g, cert.h, cert.embed_g, cell_cap, glue
             )
         except ResourceLimitError:
             problems.append(f"profiles.{member.name} (cap exceeded)")

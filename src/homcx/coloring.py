@@ -6,9 +6,8 @@ import math
 from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
-from .builders import complete_graph
 from .errors import InvalidParameterError, ResourceLimitError
-from .graphs import Graph, GraphHom, is_bipartite
+from .graphs import Graph, is_bipartite
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -212,8 +211,3 @@ def chromatic_number(
         if colors is not None:
             return k
     return upper
-
-
-def coloring_hom(g: Graph, colors: list[int], k: int) -> GraphHom:
-    """A proper coloring as a homomorphism into K_k."""
-    return GraphHom(g, complete_graph(k), tuple(colors))

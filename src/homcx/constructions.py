@@ -36,6 +36,7 @@ from .graphs import (
 from .homs import (
     DEFAULT_CELL_CAP,
     _hom_mappings,
+    _vertices,
     enumerate_cells,
     pushforward,
 )
@@ -321,6 +322,11 @@ class CylinderGlue:
     b_vertices: tuple[int, ...]  # cylinder interior plus G side
     overlap_vertices: tuple[int, ...]
 
+    def level(self, i: int) -> tuple[int, ...]:
+        """The vertices (y, i) of cylinder level i, 1 <= i <= m - 1."""
+        size = len(self.overlap_vertices) // (self.m - 1)
+        return self.overlap_vertices[(i - 1) * size:i * size]
+
 
 def glue_cylinder(
     x: Graph, y: Graph, g: Graph, f: GraphHom, gmap: GraphHom, m: int
@@ -500,73 +506,126 @@ def shortest_odd_cycle(g: Graph) -> list[int]:
     return best
 
 
-# -- covering split ------------------------------------------------------
+# -- the structural route ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitReport:
-    union_covers: bool
-    intersection_matches: bool
-    a_empty: Optional[bool]  # None when T is bipartite
-    cells_total: int
-    cells_in_a: int
-    cells_in_b: int
-
-    @property
-    def ok(self) -> bool:
-        covered = self.union_covers and self.intersection_matches
-        if self.a_empty is None:
-            return covered
-        return covered and self.a_empty
+def _mask(vertices) -> int:
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
 
 
-def covering_split(
-    t: Graph,
-    h: Graph,
-    a_vertices: Sequence[int],
-    b_vertices: Sequence[int],
-    cap: int = DEFAULT_CELL_CAP,
-) -> SplitReport:
-    """Check that every cell of Hom(t, h) factors through the A part or
-    the B part, and that the overlap cells are exactly Hom(t, A&B).
-    For non-bipartite t, additionally checks Hom(t, A) is empty."""
-    a_set = frozenset(a_vertices)
-    b_set = frozenset(b_vertices)
-    overlap = sorted(a_set & b_set)
-    outside_a = outside_b = 0  # masks of the vertices outside A and B
-    for x in range(h.n):
-        if x not in a_set:
-            outside_a |= 1 << x
-        if x not in b_set:
-            outside_b |= 1 << x
-    k = enumerate_cells(t, h, cap=cap)
-    in_a = in_b = in_both = 0
-    union_ok = True
-    for masks in k.masks:
-        support = 0
-        for m in masks:
-            support |= m
-        inside_a = not support & outside_a
-        inside_b = not support & outside_b
-        in_a += inside_a
-        in_b += inside_b
-        in_both += inside_a and inside_b
-        if not (inside_a or inside_b):
-            union_ok = False
-    overlap_graph = h.induced(overlap)
-    overlap_cells = len(enumerate_cells(t, overlap_graph, cap=cap))
-    a_empty: Optional[bool] = None
+def _distance(h: Graph, sources, targets):
+    """Length of a shortest path in h from a vertex of ``sources`` to a
+    vertex of ``targets``; inf when none exists."""
+    adj = h.adjacency_masks
+    goal = _mask(targets)
+    seen = frontier = _mask(sources)
+    d = 0
+    while frontier:
+        if frontier & goal:
+            return d
+        reach = 0
+        for v in _vertices(frontier):
+            reach |= adj[v]
+        frontier = reach & ~seen
+        seen |= reach
+        d += 1
+    return INFINITY
+
+
+def fold_retraction(
+    h: Graph, vertices: Sequence[int], target: Sequence[int]
+) -> Optional[dict[int, int]]:
+    """Fold h[vertices] onto h[target] greedily, or None when the folds
+    stop short of it.
+
+    A fold deletes a vertex v outside the target with N(v) contained in
+    N(w) for some other remaining w (the least such w); it leaves
+    Hom(T, -) homotopy equivalent for every T, and v -> w is a graph
+    map onto what remains.  Returns the retraction h[vertices] ->
+    h[target] that the fold sequence composes to, as a vertex dict.
+    """
+    adj = h.adjacency_masks
+    live = _mask(vertices)
+    keep = _mask(target)
+    if keep & ~live:
+        return None
+    onto: dict[int, int] = {}  # deleted vertex -> its w, in deletion order
+    while live != keep:
+        before = live
+        for v in _vertices(live & ~keep):
+            common = live ^ (1 << v)  # vertices adjacent to all of N(v)
+            for u in _vertices(adj[v] & live):
+                common &= adj[u]
+            if common:
+                onto[v] = (common & -common).bit_length() - 1
+                live ^= 1 << v
+        if live == before:
+            return None
+    retraction = {v: v for v in target}
+    for v in reversed(onto):  # each w is deleted after its v, if at all
+        retraction[v] = retraction[onto[v]]
+    return retraction
+
+
+def structural_failure(
+    t: Graph, g: Graph, glue: CylinderGlue, cap: int = DEFAULT_CELL_CAP
+) -> Optional[str]:
+    """None when the fold and excision checks prove that ``embed_g``
+    induces isomorphisms Hom(T, G) -> Hom(T, H) on homology; otherwise
+    the check that failed.
+
+    (a) Cover: every cell's support has diameter <= max(diam T, 2) in
+    H, so when the vertices outside B are farther than that from those
+    outside A, Hom(T, H) is the union of Hom(T, H[A]) and Hom(T, H[B]),
+    meeting in Hom(T, H[A&B]).  (b) Folds take H[B] onto G, H[A] onto
+    X and H[A&B] onto cylinder level 1, L.  (c) For non-bipartite T,
+    Hom(T, H[A]) is empty, so Hom(T, H) = Hom(T, H[B]).  (d) For
+    bipartite T, excision reduces the claim to Hom(T, H[A&B]) ->
+    Hom(T, H[A]), which is an isomorphism iff r|L is, where r: H[A] ->
+    X is the retraction of the folds in (b).
+    """
+    if t.edge_count() == 0 or not is_connected(t):
+        return "T is not connected with an edge"
+    h = glue.h
+    a, b = glue.a_vertices, glue.b_vertices
+    if _mask(a) | _mask(b) != (1 << h.n) - 1:
+        return "cover"
+    outside_a = sorted(set(range(h.n)) - set(a))
+    outside_b = sorted(set(range(h.n)) - set(b))
+    if _distance(h, outside_b, outside_a) <= max(diameter(t), 2):
+        return "cover"
+    x_vertices = glue.embed_x.mapping
+    level = glue.level(1)
+    retraction = fold_retraction(h, a, x_vertices)
+    if (
+        h.induced(glue.embed_g.mapping) != g
+        or fold_retraction(h, b, glue.embed_g.mapping) is None
+        or retraction is None
+        or fold_retraction(h, sorted(set(a) & set(b)), level) is None
+    ):
+        return "folds"
     if not is_bipartite(t):
-        a_graph = h.induced(sorted(a_set))
-        a_empty = not _hom_mappings(t, a_graph, cap=cap)
-    return SplitReport(
-        union_covers=union_ok,
-        intersection_matches=(overlap_cells == in_both),
-        a_empty=a_empty,
-        cells_total=len(k),
-        cells_in_a=in_a,
-        cells_in_b=in_b,
+        try:
+            _hom_mappings(t, h.induced(a), cap=0)  # raises at the first map
+        except ResourceLimitError:
+            return "Hom(T, H[A]) is not empty"
+        return None
+    from .homology import induced_map_homology
+
+    index = {v: i for i, v in enumerate(x_vertices)}
+    r_level = GraphHom(
+        h.induced(level),
+        h.induced(x_vertices),
+        [index[retraction[v]] for v in level],
     )
+    try:
+        cone = induced_map_homology(pushforward(r_level, t, cap=cap))
+    except ResourceLimitError:
+        return "cap"
+    return None if cone.isomorphism else "r|L is not a homology isomorphism"
 
 
 # -- the pipeline --------------------------------------------------------
@@ -616,6 +675,7 @@ class MemberReport:
     profile_h: Optional[object]
     z2: Optional[tuple[bool, bool, bool]]  # (free on G, free on H, equivariant)
     verified: bool
+    route: str = "direct"  # or "structural"; never written to certificates
 
 
 @dataclass(frozen=True)
@@ -720,28 +780,46 @@ def certificate_json(cert: PipelineCertificate) -> str:
     )
 
 
-def _verify_member(member, g, h, embed_g, cell_cap):
+def _verify_member(member, g, h, embed_g, cell_cap, glue=None):
+    """Profiles of Hom(T, G) and Hom(T, H) and the Z_2 triple of one
+    member.  On a glued H whose structural checks hold, profile(H) is
+    profile(G) by ``structural_failure``, the action on Hom(T, H) is
+    free because H is loopless and the involution flips an edge, and the
+    pushforward along ``embed_g`` is equivariant by associativity:
+    embed o (eta o alpha) = (embed o eta) o alpha.  Otherwise Hom(T, H)
+    is enumerated and both are computed on it."""
     from .homology import cellular_chain_complex, homology
     from .homs import Involution, z2_structure
 
+    structural = (
+        glue is not None
+        and structural_failure(member.graph, g, glue, cell_cap) is None
+    )
     kg = enumerate_cells(member.graph, g, cap=cell_cap)
-    kh = enumerate_cells(member.graph, h, cap=cell_cap)
     pg = homology(cellular_chain_complex(kg))
-    ph = homology(cellular_chain_complex(kh))
+    if structural:
+        ph = pg
+    else:
+        kh = enumerate_cells(member.graph, h, cap=cell_cap)
+        ph = homology(cellular_chain_complex(kh))
     z2 = None
     if member.involution is not None:
         alpha = Involution(member.graph, member.involution)
         if alpha.flipping:
             rg = z2_structure(member.graph, alpha, g, complex=kg)
-            rh = z2_structure(member.graph, alpha, h, complex=kh)
-            pf = pushforward(
-                embed_g, member.graph, source_complex=kg, target_complex=kh
-            )
-            equivariant = (
-                pf.compose(rg.action).images == rh.action.compose(pf).images
-            )
-            z2 = (rg.free, rh.free, equivariant)
-    return MemberReport(member.name, pg, ph, z2, True)
+            if structural:
+                z2 = (rg.free, not h.has_loop(), True)
+            else:
+                rh = z2_structure(member.graph, alpha, h, complex=kh)
+                pf = pushforward(
+                    embed_g, member.graph, source_complex=kg, target_complex=kh
+                )
+                equivariant = (
+                    pf.compose(rg.action).images == rh.action.compose(pf).images
+                )
+                z2 = (rg.free, rh.free, equivariant)
+    route = "structural" if structural else "direct"
+    return MemberReport(member.name, pg, ph, z2, True, route)
 
 
 def theorem51_pipeline(
@@ -771,7 +849,7 @@ def theorem51_pipeline(
         # a loop forces every chromatic bound at once, so H = G works
         ident = GraphHom.identity(g)
         members, failed, skipped = _run_members(
-            family, g, g, ident, cell_cap
+            family, g, g, ident, cell_cap, None
         )
         verdict = _verdict(failed, skipped)
         return PipelineCertificate(
@@ -811,7 +889,7 @@ def theorem51_pipeline(
     chi_h = chromatic_number(glue.h, node_budget, order_hint=sweep)
     failed = not (chi_h >= chi_x > n)
     members, member_failed, skipped = _run_members(
-        family, g, glue.h, glue.embed_g, cell_cap
+        family, g, glue.h, glue.embed_g, cell_cap, glue
     )
     verdict = _verdict(failed or member_failed, skipped)
     return PipelineCertificate(
@@ -836,13 +914,13 @@ def theorem51_pipeline(
     )
 
 
-def _run_members(family, g, h, embed_g, cell_cap):
+def _run_members(family, g, h, embed_g, cell_cap, glue):
     members = []
     failed = False
     skipped = False
     for member in family:
         try:
-            report = _verify_member(member, g, h, embed_g, cell_cap)
+            report = _verify_member(member, g, h, embed_g, cell_cap, glue)
         except ResourceLimitError:
             members.append(MemberReport(member.name, None, None, None, False))
             skipped = True

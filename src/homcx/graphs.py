@@ -95,20 +95,6 @@ class Graph:
 
     # -- derived graphs -----------------------------------------------
 
-    def delete_vertex(self, v: int) -> "Graph":
-        """Induced subgraph on V \\ {v}, relabeled densely."""
-        if not 0 <= v < self.n:
-            raise InvalidParameterError(f"no vertex {v}")
-        relabel = {u: (u if u < v else u - 1) for u in range(self.n) if u != v}
-        return Graph(
-            self.n - 1,
-            [
-                (relabel[a], relabel[b])
-                for a, b in self.edges
-                if a != v and b != v
-            ],
-        )
-
     def delete_edge(self, u: int, v: int) -> "Graph":
         e = _norm_edge(u, v)
         if e not in self.edges:

@@ -5,6 +5,7 @@ criteria complete.  Heavy pipeline runs are shared between criteria
 through module-scoped fixtures.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -27,7 +28,6 @@ from homcx.coloring import chromatic_number
 from homcx.constructions import (
     FamilyMember,
     certificate_json,
-    covering_split,
     fiber_certificate,
     prop32_hypothesis,
     subdivide_edge,
@@ -49,6 +49,7 @@ from homcx.homs import (
     x_homotopy_classes,
     z2_structure,
 )
+from oracles import covering_split, delete_vertex
 
 K2 = complete_graph(2)
 
@@ -196,7 +197,7 @@ def test_criterion_6_fold_suite():
         rng = random.Random(97)
         for _ in range(20):
             g, v = _graph_with_dismantlable_vertex(rng, rng.randrange(5, 9))
-            reduced = g.delete_vertex(v)
+            reduced = delete_vertex(g, v)
             for t in (K2, complete_graph(3)):
                 assert profile(t, reduced).betti == profile(t, g).betti
 
@@ -214,6 +215,14 @@ def test_criterion_7_theorem_pipeline(cert7_runs):
         assert member.profile_g.betti == (1, 1)
         assert member.profile_h.betti == (1, 1)
         assert member.profile_g == member.profile_h
+        assert member.route == "structural"
+        # the structural route leaves the certificate's bytes as they were
+        # when Hom(K_2, H) was enumerated
+        digest = hashlib.sha256(certificate_json(cert).encode()).hexdigest()
+        assert digest == (
+            "45b7ff6daeb76c20eda42bc8f8499f4efcb71938c0c921d54eab3941ba6912cc"
+        )
+        # check (a) of the structural route, by enumeration
         split = covering_split(K2, cert.h, cert.a_vertices, cert.b_vertices)
         assert split.ok
         assert split.union_covers and split.intersection_matches
@@ -227,32 +236,36 @@ def test_criterion_8_non_bipartite_branch(cert8_runs):
         assert cert.chi_x == 3 > 2
         assert cert.chi_h == 3
         c5 = cycle_graph(5)
-        # the emptiness witness always runs: no image of C_5 inside the
-        # A part, whose odd girth exceeds 5
+        # the emptiness witness: no image of C_5 inside the A part, whose
+        # odd girth exceeds 5
         a_graph = cert.h.induced(sorted(cert.a_vertices))
         assert enumerate_homs(c5, a_graph) == []
+        # so the structural route verifies the member that enumerating
+        # Hom(C_5, H) could not (it passes the 10M-cell cap)
         member = cert.members[0]
-        if member.verified:
-            assert member.profile_g == member.profile_h
-            assert member.z2 == (True, True, True)
-        else:
-            # caps were hit on Hom(C_5, H); downgrade to the same checks
-            # on G = C_5 and X = C_9 with T = K_2
-            assert cert.verdict == "partial"
-            x = cert.x
-            assert profile(K2, c5) == profile(K2, x)
-            swap = Involution(K2, GraphHom(K2, K2, [1, 0]))
-            kg = enumerate_cells(K2, c5)
-            kx = enumerate_cells(K2, x)
-            rep_g = z2_structure(K2, swap, c5, complex=kg)
-            rep_x = z2_structure(K2, swap, x, complex=kx)
-            assert rep_g.free and rep_x.free
-            # equivariance of a pushforward between the two box complexes
-            wind = GraphHom(x, c5, [0, 1, 2, 3, 4, 0, 1, 0, 1])
-            pf = pushforward(wind, K2)
-            lhs = pf.compose(rep_x.action).images
-            rhs = rep_g.action.compose(pf).images
-            assert lhs == rhs
+        assert member.verified and member.route == "structural"
+        assert member.profile_g == member.profile_h
+        assert member.z2 == (True, True, True)
+        assert cert.verdict == "consistent"
+
+
+def test_box_complex_downgrade_of_criterion_8():
+    # the checks criterion 8 fell back to while Hom(C_5, H) was out of
+    # reach: T = K_2 on G = C_5 and X = C_9
+    c5, x = cycle_graph(5), cycle_graph(9)
+    assert profile(K2, c5) == profile(K2, x)
+    swap = Involution(K2, GraphHom(K2, K2, [1, 0]))
+    kg = enumerate_cells(K2, c5)
+    kx = enumerate_cells(K2, x)
+    rep_g = z2_structure(K2, swap, c5, complex=kg)
+    rep_x = z2_structure(K2, swap, x, complex=kx)
+    assert rep_g.free and rep_x.free
+    # equivariance of a pushforward between the two box complexes
+    wind = GraphHom(x, c5, [0, 1, 2, 3, 4, 0, 1, 0, 1])
+    pf = pushforward(wind, K2)
+    lhs = pf.compose(rep_x.action).images
+    rhs = rep_g.action.compose(pf).images
+    assert lhs == rhs
 
 
 def _poset_component_partition(t, g):

@@ -1,5 +1,6 @@
 """Certificate verification and the command line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from homcx.constructions import (
     theorem51_pipeline,
 )
 from homcx.errors import GraphFormatError
-from homcx.graphs import Graph
+from homcx.graphs import Graph, GraphHom
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +25,14 @@ def looped_cert_text():
     fam = [FamilyMember("K2", complete_graph(2))]
     loop = Graph(3, [(0, 1), (1, 2), (1, 1)])
     return certificate_json(theorem51_pipeline(fam, loop, 2))
+
+
+@pytest.fixture(scope="module")
+def glued_cert_text():
+    # the benchmark's pipeline input: K2 with its swap, G = K3, n = 2
+    k2 = complete_graph(2)
+    fam = [FamilyMember("K2", k2, GraphHom(k2, k2, [1, 0]))]
+    return certificate_json(theorem51_pipeline(fam, complete_graph(3), 2, seed=1))
 
 
 def test_load_round_trip(looped_cert_text):
@@ -392,3 +401,54 @@ def test_cli_verify_reports_profile_of_no_member(tmp_path, capsys, looped_cert_t
     path.write_text(json.dumps(obj))
     assert main(["verify", str(path)]) == 5
     assert "FAIL profiles.ghost (not a family member)" in capsys.readouterr().out
+
+
+def test_glued_certificate_bytes_are_pinned(tmp_path, glued_cert_text):
+    # bytes measured when every member was verified by enumerating Hom(T, H)
+    digest = hashlib.sha256(glued_cert_text.encode()).hexdigest()
+    assert digest == "7d17a75afa3001dcae1ee9ed424393009a4388a8fca1b9c76ee88f03ee980454"
+    fam = tmp_path / "K2.json"
+    fam.write_text(json.dumps(
+        {"name": "K2", "graph": json.loads(complete_graph(2).to_json()),
+         "involution": [1, 0]}
+    ))
+    g = graph_file(tmp_path, "G.json", complete_graph(3))
+    out = tmp_path / "cert.json"
+    argv = ["construct", "--family", str(fam), "--g", g, "--n", "2",
+            "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9c8c9f03ffb6e55a01523df5bdfd43b27d42130caa3aded8d15eac0f99a3059b"
+    )
+    assert main(["verify", str(out)]) == 0
+
+
+def _tampered(text, edit):
+    obj = json.loads(text)
+    edit(obj)
+    # a small cap: the tampered H is verified by enumerating Hom(K2, H)
+    return verify_certificate(load_certificate(json.dumps(obj)), cell_cap=1000)
+
+
+def test_verify_rebuilds_the_glued_graph_and_its_maps(glued_cert_text):
+    assert verify_certificate(load_certificate(glued_cert_text)) == []
+
+    def add_edge(obj):
+        obj["graphs"]["H"]["edges"].append([0, 2])  # a chord of X = C7
+
+    def rotate_g(obj):  # still an embedding of G = K3, but not the glued one
+        embed = obj["maps"]["embedG"]
+        obj["maps"]["embedG"] = embed[1:] + embed[:1]
+
+    def rotate_x(obj):
+        embed = obj["maps"]["embedX"]
+        obj["maps"]["embedX"] = embed[1:] + embed[:1]
+
+    for edit, field in (
+        (add_edge, "graphs.H"),
+        (rotate_g, "maps.embedG"),
+        (rotate_x, "maps.embedX"),
+    ):
+        problems = _tampered(glued_cert_text, edit)
+        assert field in problems
+        assert "profiles.K2 (cap exceeded)" in problems

@@ -20,12 +20,17 @@ from homcx.coloring import (
     _k_coloring,
     _ordered_k_coloring,
     chromatic_number,
-    coloring_hom,
     greedy_clique,
     greedy_coloring,
 )
 from homcx.errors import InvalidParameterError, ResourceLimitError
-from homcx.graphs import Graph
+from homcx.graphs import Graph, GraphHom
+from oracles import mycielskian
+
+
+def coloring_hom(g: Graph, colors: list[int], k: int) -> GraphHom:
+    """A proper coloring as a homomorphism into K_k."""
+    return GraphHom(g, complete_graph(k), tuple(colors))
 
 
 def test_small_exact_values():
@@ -254,16 +259,6 @@ def test_dsatur_matches_reference_rule(case, nodes):
         assert _run_search(_k_coloring, g, k, nodes) == _run_search(
             reference_k_coloring, g, k, nodes
         )
-
-
-def mycielskian(g):
-    """The Mycielski graph of g: chi one higher, same clique number."""
-    n = g.n
-    edges = list(g.edges)
-    for u, v in g.edges:
-        edges += [(u, n + v), (v, n + u)]
-    edges += [(n + v, 2 * n) for v in range(n)]
-    return Graph(2 * n + 1, edges)
 
 
 def _clique_number(g):

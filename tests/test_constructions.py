@@ -14,7 +14,6 @@ from homcx.builders import (
 from homcx.constructions import (
     FamilyMember,
     certificate_json,
-    covering_split,
     cylinder_sweep_order,
     fiber_certificate,
     find_high_girth_high_chromatic,
@@ -36,6 +35,7 @@ from homcx.errors import (
 from homcx.graphs import Graph, GraphHom, girth, odd_girth
 from homcx.homology import cellular_chain_complex, homology
 from homcx.homs import enumerate_cells, enumerate_homs
+from oracles import covering_split
 
 
 def box_profile(g):

@@ -19,8 +19,13 @@ PYPROJECT = ROOT / "pyproject.toml"
 TEST_FILES = sorted((ROOT / "tests").glob("*.py")) + sorted(
     (ROOT / "perfbench").glob("test_*.py")
 )
-# the package itself and the benchmark's modules, which its test imports
-LOCAL_MODULES = {"homcx"} | {p.stem for p in (ROOT / "perfbench").glob("*.py")}
+# the package itself, the benchmark's modules, which its test imports, and
+# the tests' own helper modules
+LOCAL_MODULES = (
+    {"homcx"}
+    | {p.stem for p in (ROOT / "perfbench").glob("*.py")}
+    | {p.stem for p in (ROOT / "tests").glob("*.py")}
+)
 
 
 def _pyproject() -> dict:
