@@ -17,9 +17,11 @@ def greedy_clique(g: Graph) -> list[int]:
     adj = g.adjacency
     order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
     clique: list[int] = []
+    common = set(range(g.n))  # the vertices adjacent to every member
     for v in order:
-        if all(v in adj[u] for u in clique):
+        if v in common:
             clique.append(v)
+            common.intersection_update(adj[v])
     return clique
 
 

@@ -94,7 +94,7 @@ def prop32_hypothesis(g: Graph, e: Sequence[int]) -> Prop32Result:
     adj = stripped.adjacency
     for x in sorted(adj[v]):
         for y in sorted(adj[x]):
-            if w in adj[y]:
+            if stripped.has_edge(y, w):
                 return Prop32Result(False, (v, x, y, w))
     return Prop32Result(True, None)
 
@@ -555,13 +555,20 @@ def fold_retraction(
     onto: dict[int, int] = {}  # deleted vertex -> its w, in deletion order
     while live != keep:
         before = live
-        for v in _vertices(live & ~keep):
-            common = live ^ (1 << v)  # vertices adjacent to all of N(v)
-            for u in _vertices(adj[v] & live):
-                common &= adj[u]
+        rest = live & ~keep
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            common = live ^ bit  # vertices adjacent to all of N(v)
+            nbrs = adj[v] & live
+            while nbrs and common:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                common &= adj[low.bit_length() - 1]
             if common:
                 onto[v] = (common & -common).bit_length() - 1
-                live ^= 1 << v
+                live ^= bit
         if live == before:
             return None
     retraction = {v: v for v in target}

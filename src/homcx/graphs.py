@@ -34,16 +34,21 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
+        if type(n) is not int:  # bool is an int subclass
+            raise InvalidParameterError(f"vertex count {n!r} is not an integer")
         if n < 0:
             raise InvalidParameterError("vertex count must be nonnegative")
-        normed = frozenset(_norm_edge(u, v) for u, v in edges)
-        for u, v in normed:
-            if not (0 <= u < n and 0 <= v < n):
+        normed = []
+        for u, v in edges:
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= n:
                 raise InvalidParameterError(
                     f"edge ({u},{v}) out of range for {n} vertices"
                 )
+            normed.append((u, v))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", normed)
+        object.__setattr__(self, "edges", frozenset(normed))
 
     # -- basic queries ------------------------------------------------
 
@@ -51,16 +56,23 @@ class Graph:
         return _norm_edge(u, v) in self.edges
 
     @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """N(v) for each v; includes v itself iff (v,v) is an edge."""
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """N(v) for each v, each neighbour once, in edge-set order (not
+        sorted); includes v itself iff (v,v) is an edge.  The same pass
+        over the edges fills the cache of ``loops()``."""
         cached = self.__dict__.get("_adjacency")
         if cached is None:
-            nbrs: list[set[int]] = [set() for _ in range(self.n)]
+            nbrs: list[list[int]] = [[] for _ in range(self.n)]
+            loops = []
             for u, v in self.edges:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-            cached = tuple(frozenset(s) for s in nbrs)
+                nbrs[u].append(v)
+                if u != v:
+                    nbrs[v].append(u)
+                else:
+                    loops.append(u)
+            cached = tuple(map(tuple, nbrs))
             self.__dict__["_adjacency"] = cached
+            self.__dict__["_loops"] = frozenset(loops)
         return cached
 
     @property
@@ -83,8 +95,8 @@ class Graph:
         """The vertices that carry a loop."""
         cached = self.__dict__.get("_loops")
         if cached is None:
-            cached = frozenset(u for u, v in self.edges if u == v)
-            self.__dict__["_loops"] = cached
+            self.adjacency  # fills the loop cache in the same pass
+            cached = self.__dict__["_loops"]
         return cached
 
     def is_simple(self) -> bool:
@@ -106,6 +118,11 @@ class Graph:
         index = {v: i for i, v in enumerate(vertices)}
         if len(index) != len(vertices):
             raise InvalidParameterError("duplicate vertices")
+        for v in index:
+            if type(v) is not int or not 0 <= v < self.n:
+                raise InvalidParameterError(
+                    f"vertex {v!r} out of range for {self.n} vertices"
+                )
         return Graph(
             len(vertices),
             [
@@ -136,19 +153,15 @@ class Graph:
             raise GraphFormatError("'n' must be a nonnegative integer")
         if not isinstance(edges, list):
             raise GraphFormatError("'edges' must be a list")
-        pairs = []
         for item in edges:
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not all(type(x) is int for x in item)
-            ):
+            if not isinstance(item, list) or len(item) != 2:
                 raise GraphFormatError(f"bad edge entry {item!r}")
             u, v = item
+            if type(u) is not int or type(v) is not int:
+                raise GraphFormatError(f"bad edge entry {item!r}")
             if u >= n or v >= n or u < 0 or v < 0:
                 raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
-            pairs.append((u, v))
-        return Graph(n, pairs)
+        return Graph(n, edges)
 
     @staticmethod
     def from_json(text: str) -> "Graph":

@@ -241,7 +241,8 @@ def enumerate_cells(
     adj = g.adjacency_masks
     t_adj = [sorted(t.adjacency[v]) for v in range(t.n)]
     full = (1 << g.n) - 1
-    loop_at = [v in t.adjacency[v] for v in range(t.n)]
+    t_loops = t.loops()
+    loop_at = [v in t_loops for v in range(t.n)]
     looped = 0
     for x in g.loops():
         looped |= 1 << x

@@ -88,6 +88,28 @@ def test_greedy_clique_is_clique():
     assert len(clique) == 5
 
 
+def reference_greedy_clique(g):
+    """The membership rule greedy_clique replaced: v joins when it is a
+    neighbour of every member so far."""
+    adj = g.adjacency
+    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
+    clique = []
+    for v in order:
+        if all(v in adj[u] for u in clique):
+            clique.append(v)
+    return clique
+
+
+@settings(max_examples=300, deadline=None)
+@given(loopless_graphs(max_n=20), st.booleans())
+def test_greedy_clique_matches_reference_rule(g, looped):
+    if looped:  # a loop raises its vertex's degree and so its place
+        g = Graph(g.n, list(g.edges) + [(v, v) for v in range(0, g.n, 3)])
+    clique = greedy_clique(g)
+    assert clique == reference_greedy_clique(g)
+    assert all(g.has_edge(a, b) for a, b in itertools.combinations(clique, 2))
+
+
 def test_coloring_hom_round_trip():
     g = cycle_graph(5)
     k = chromatic_number(g)

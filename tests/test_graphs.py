@@ -1,8 +1,10 @@
 """Graph container, invariants, and builders."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homcx.builders import (
     chi4_girth5_graph,
@@ -39,6 +41,46 @@ def test_graph_rejects_bad_vertices():
         Graph(2, [(0, 5)])
     with pytest.raises(InvalidParameterError):
         Graph(-1, [])
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3", None])
+def test_graph_rejects_non_integer_vertex_count(n):
+    with pytest.raises(InvalidParameterError):
+        Graph(n, [])
+    with pytest.raises(InvalidParameterError):
+        Graph(n, [(0, 0)])
+
+
+@pytest.mark.parametrize("vertices", [[0, 99], [-1, 1], [0, 3], [0.0, 1], [True]])
+def test_induced_rejects_bad_vertices(vertices):
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(InvalidParameterError):
+        g.induced(vertices)
+
+
+@st.composite
+def graphs_with_loops(draw, max_n=14):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_loops(), st.booleans())
+def test_adjacency_views_agree(g, loops_first):
+    if loops_first:
+        loops = g.loops()
+        adj = g.adjacency
+    else:
+        adj = g.adjacency
+        loops = g.loops()
+    assert len(adj) == len(g.adjacency_masks) == g.n
+    for v in range(g.n):
+        assert len(adj[v]) == len(set(adj[v]))
+        assert set(adj[v]) == {w for w in range(g.n) if g.has_edge(v, w)}
+        assert sum(1 << w for w in adj[v]) == g.adjacency_masks[v]
+    assert loops == {v for v in range(g.n) if v in adj[v]}
 
 
 def test_loops_and_simple():

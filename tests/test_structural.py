@@ -11,15 +11,17 @@ from homcx.constructions import (
     FamilyMember,
     _run_members,
     _verify_member,
+    find_high_girth_high_chromatic,
     fold_retraction,
     glue_cylinder,
     replace_edges_with_paths,
     shortest_odd_cycle,
     structural_failure,
+    uniformly_small_m,
 )
 from homcx.errors import ResourceLimitError
 from homcx.graphs import Graph, GraphHom, odd_girth
-from homcx.homs import _hom_mappings
+from homcx.homs import _hom_mappings, _vertices
 from oracles import covering_split, mycielskian
 
 K2 = complete_graph(2)
@@ -182,6 +184,58 @@ def test_fold_retraction_is_a_retraction_onto_the_target():
         for u, v in h.edges:
             if u in r and v in r:
                 assert h.has_edge(r[u], r[v])
+
+
+def reference_fold_retraction(h, vertices, target):
+    """fold_retraction as first written, over vertex tuples: the oracle
+    for its pass order and its choice of the least w."""
+    adj = h.adjacency_masks
+    live = sum(1 << v for v in set(vertices))
+    keep = sum(1 << v for v in set(target))
+    if keep & ~live:
+        return None
+    onto = {}
+    while live != keep:
+        before = live
+        for v in _vertices(live & ~keep):
+            common = live ^ (1 << v)
+            for u in _vertices(adj[v] & live):
+                common &= adj[u]
+            if common:
+                onto[v] = (common & -common).bit_length() - 1
+                live ^= 1 << v
+        if live == before:
+            return None
+    retraction = {v: v for v in target}
+    for v in reversed(onto):
+        retraction[v] = retraction[onto[v]]
+    return retraction
+
+
+@pytest.mark.parametrize(
+    "member, g",
+    [
+        (C5, C5),  # acceptance criterion 8
+        (K2, K3),  # the benchmark's pipeline
+    ],
+    ids=["criterion8", "benchmark"],
+)
+def test_fold_retraction_matches_reference(member, g):
+    m = uniformly_small_m([member])
+    glue = glue_for(find_high_girth_high_chromatic(2, m).graph, g, m, subdivide=True)
+    h = glue.h
+    for part, target in (
+        (glue.a_vertices, glue.embed_x.mapping),
+        (glue.b_vertices, glue.embed_g.mapping),
+        (glue.overlap_vertices, glue.level(1)),
+        (range(h.n), glue.embed_g.mapping),
+        (range(h.n), glue.embed_x.mapping),
+    ):
+        r = fold_retraction(h, part, target)
+        expected = reference_fold_retraction(h, part, target)
+        assert r == expected
+        # and in the same key order, which follows the fold sequence
+        assert r is None or list(r) == list(expected)
 
 
 def test_fold_retraction_small_cases():
