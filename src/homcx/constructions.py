@@ -629,10 +629,10 @@ def structural_failure(
         [index[retraction[v]] for v in level],
     )
     try:
-        cone = induced_map_homology(pushforward(r_level, t, cap=cap))
+        isomorphism = induced_map_homology(r_level, t, cap=cap)
     except ResourceLimitError:
         return "cap"
-    return None if cone.isomorphism else "r|L is not a homology isomorphism"
+    return None if isomorphism else "r|L is not a homology isomorphism"
 
 
 # -- the pipeline --------------------------------------------------------
@@ -707,10 +707,6 @@ class PipelineCertificate:
     chi_h: object
     members: tuple[MemberReport, ...]
     verdict: str
-
-    @property
-    def skipped(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.members if not r.verified)
 
 
 def _chi_json(value) -> object:

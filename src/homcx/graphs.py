@@ -40,6 +40,10 @@ class Graph:
             raise InvalidParameterError("vertex count must be nonnegative")
         normed = []
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:  # bool is an int subclass
+                raise InvalidParameterError(
+                    f"edge ({u!r},{v!r}) has a non-integer endpoint"
+                )
             if u > v:
                 u, v = v, u
             if u < 0 or v >= n:
@@ -149,19 +153,15 @@ class Graph:
             edges = obj["edges"]
         except KeyError as exc:
             raise GraphFormatError(f"missing key {exc}") from exc
-        if type(n) is not int or n < 0:  # bool is an int subclass
-            raise GraphFormatError("'n' must be a nonnegative integer")
         if not isinstance(edges, list):
             raise GraphFormatError("'edges' must be a list")
         for item in edges:
             if not isinstance(item, list) or len(item) != 2:
                 raise GraphFormatError(f"bad edge entry {item!r}")
-            u, v = item
-            if type(u) is not int or type(v) is not int:
-                raise GraphFormatError(f"bad edge entry {item!r}")
-            if u >= n or v >= n or u < 0 or v < 0:
-                raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
-        return Graph(n, edges)
+        try:
+            return Graph(n, edges)
+        except InvalidParameterError as exc:
+            raise GraphFormatError(str(exc)) from exc
 
     @staticmethod
     def from_json(text: str) -> "Graph":

@@ -1,13 +1,14 @@
 """Exact integer homology of Hom complexes.
 
 Cellular chains use the product-of-simplices sign convention on the
-regular cell structure; the order complex (barycentric subdivision)
-provides an independent simplicial route and carries induced maps.  A
-cell map induces isomorphisms on homology iff the mapping cone of its
-simplicial chain map is acyclic, which the same homology routine
-decides.  All reductions are integer-exact (Smith normal form,
-arbitrary precision); homology equality between complexes is evidence
-consistent with homotopy equivalence, never a proof of it.
+regular cell structure.  A pushforward along a graph map is cellular,
+so the same chains carry induced maps: the map induces isomorphisms on
+homology iff the mapping cone of its cellular chain map is acyclic,
+which the same homology routine decides.  The order complex
+(barycentric subdivision) is an independent simplicial route that
+checks cellular homology.  All reductions are integer-exact (Smith
+normal form, arbitrary precision); homology equality between complexes
+is evidence consistent with homotopy equivalence, never a proof of it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Sequence
 
 from . import _kernels
 from .errors import GraphFormatError, InvalidParameterError, ResourceLimitError
-from .homs import CellMap, HomComplex, _one_smaller
+from .graphs import Graph, GraphHom
+from .homs import DEFAULT_CELL_CAP, HomComplex, _one_smaller, _vertices, pushforward
 
 DEFAULT_CHAIN_BUDGET = 2_000_000
 
@@ -270,56 +272,59 @@ def order_complex_homology(
 # -- induced maps ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InducedMapReport:
-    """Whether a cell map induces isomorphisms on the homology of the
-    order complexes, with both homology profiles."""
+def _parity(images: Sequence[int]) -> int:
+    """The sign of the permutation that sorts ``images``, or 0 when two
+    of them coincide."""
+    sign = 1
+    for i, a in enumerate(images):
+        for b in images[i + 1:]:
+            if a == b:
+                return 0
+            if a > b:
+                sign = -sign
+    return sign
 
-    isomorphism: bool
-    source_profile: HomologyProfile
-    target_profile: HomologyProfile
 
+def induced_map_homology(f: GraphHom, t: Graph, cap: int = DEFAULT_CELL_CAP) -> bool:
+    """Whether the pushforward along ``f`` induces isomorphisms
+    Hom(t, f.domain) -> Hom(t, f.codomain) on homology.
 
-def induced_map_homology(
-    cmap: CellMap, budget: int = DEFAULT_CHAIN_BUDGET
-) -> InducedMapReport:
-    """Decide whether an order-preserving cell map induces isomorphisms
-    on the homology of the order complexes.
-
-    The cell map induces a simplicial chain map f that sends a simplex
-    whose image degenerates to zero.  A chain map of free Z-complexes is
-    a quasi-isomorphism iff its mapping cone is acyclic (Weibel, An
+    The pushforward is cellular.  It sends a cell to its image cell when
+    no set shrinks, with the sign the product over source vertices of
+    the parity of the permutation f induces on that vertex's set, and to
+    0 when a set shrinks.  A chain map of free Z-complexes is a
+    quasi-isomorphism iff its mapping cone is acyclic (Weibel, An
     Introduction to Homological Algebra, Cor. 1.5.4).  The cone's
     degree-d group is C1_{d-1} + C2_d, in that order, with boundary
     (a, b) -> (-da, f(a) + db); as a ChainComplex it is checked for
-    dd = 0, which holds iff f is a chain map.
+    dd = 0, which holds iff the signed cell map is a chain map.
     """
-    if not cmap.is_order_preserving():
-        raise InvalidParameterError("cell map is not order-preserving")
-    oc1 = OrderComplex(cmap.source, budget)
-    oc2 = OrderComplex(cmap.target, budget)
-    c1 = oc1.chain_complex()
-    c2 = oc2.chain_complex()
-    images = cmap.images
+    cmap = pushforward(f, t, cap=cap)
+    k1, k2 = cmap.source, cmap.target
+    c1 = cellular_chain_complex(k1)
+    c2 = cellular_chain_complex(k2)
+    mapping = f.mapping
+    parity: dict[int, int] = {}  # mask -> the parity of f on its set, 0 if it shrinks
     boundaries = []
     for d in range(max(len(c1.ranks) + 1, len(c2.ranks))):
         # the C2 block of degree d - 1 starts after C1_{d-2}
         shift = c1.ranks[d - 2] if 2 <= d <= len(c1.ranks) + 1 else 0
         cols = []
         if 1 <= d <= len(c1.ranks):
-            for s, col in zip(oc1.simplices[d - 1], c1.boundaries[d - 1]):
-                out = {i: -c for i, c in col.items()}
-                image = tuple(images[v] for v in s)
-                if len(set(image)) == len(image):  # degenerate images are 0
-                    out[shift + oc2.index[d - 1][image]] = 1
+            for i, col in enumerate(c1.boundaries[d - 1], k1.offsets[d - 1]):
+                out = {r: -c for r, c in col.items()}
+                sign = 1
+                for m in k1.masks[i]:
+                    p = parity.get(m)
+                    if p is None:
+                        p = parity[m] = _parity([mapping[x] for x in _vertices(m)])
+                    sign *= p
+                if sign:
+                    out[shift + cmap.images[i] - k2.offsets[d - 1]] = sign
                 cols.append(out)
         if d < len(c2.ranks):
             for col in c2.boundaries[d]:
                 cols.append({shift + i: c for i, c in col.items()})
         boundaries.append(cols)
     cone = homology(ChainComplex([len(cols) for cols in boundaries], boundaries))
-    return InducedMapReport(
-        isomorphism=not cone.betti and not cone.torsion,
-        source_profile=homology(c1),
-        target_profile=homology(c2),
-    )
+    return not cone.betti and not cone.torsion

@@ -17,7 +17,6 @@ from .errors import (
 )
 from .graphs import Graph, GraphHom
 
-DEFAULT_HOM_CAP = 10_000_000
 DEFAULT_CELL_CAP = 10_000_000
 
 
@@ -195,7 +194,7 @@ def _bfs_order(g: Graph) -> list[int]:
 
 
 def _hom_mappings(
-    t: Graph, g: Graph, cap: int = DEFAULT_HOM_CAP
+    t: Graph, g: Graph, cap: int = DEFAULT_CELL_CAP
 ) -> list[tuple[int, ...]]:
     """The mapping tuples of all graph homomorphisms t -> g, sorted."""
     order = _bfs_order(t)
@@ -224,7 +223,7 @@ def _hom_mappings(
 
 
 def enumerate_homs(
-    t: Graph, g: Graph, cap: int = DEFAULT_HOM_CAP
+    t: Graph, g: Graph, cap: int = DEFAULT_CELL_CAP
 ) -> list[GraphHom]:
     """All graph homomorphisms t -> g, in lexicographic map order."""
     return [GraphHom(t, g, m) for m in _hom_mappings(t, g, cap=cap)]
@@ -292,15 +291,6 @@ class CellMap:
     source: HomComplex
     target: HomComplex
     images: tuple[int, ...]
-
-    def is_order_preserving(self) -> bool:
-        masks = self.target.masks
-        for i in range(len(self.source)):
-            top = masks[self.images[i]]
-            for j in self.source.facets(i):
-                if any(a & ~b for a, b in zip(masks[self.images[j]], top)):
-                    return False
-        return True
 
     def fibers(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {j: [] for j in range(len(self.target))}
@@ -390,7 +380,7 @@ class _DSU:
 
 
 def x_homotopy_classes(
-    g: Graph, h: Graph, cap: int = DEFAULT_HOM_CAP
+    g: Graph, h: Graph, cap: int = DEFAULT_CELL_CAP
 ) -> list[list[GraphHom]]:
     """Partition of the homomorphisms g -> h into x-homotopy classes.
 

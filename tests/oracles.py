@@ -1,11 +1,18 @@
-"""Enumerating oracles for claims that homcx proves structurally, and
-graph surgery that only the tests use."""
+"""Enumerating oracles for claims that homcx proves structurally or on
+cellular chains, and graph surgery that only the tests use."""
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from homcx.errors import InvalidParameterError
 from homcx.graphs import Graph, is_bipartite
-from homcx.homs import DEFAULT_CELL_CAP, _hom_mappings, enumerate_cells
+from homcx.homology import (
+    DEFAULT_CHAIN_BUDGET,
+    ChainComplex,
+    OrderComplex,
+    homology,
+)
+from homcx.homs import CellMap, DEFAULT_CELL_CAP, _hom_mappings, enumerate_cells
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -88,3 +95,55 @@ def covering_split(
         cells_in_a=in_a,
         cells_in_b=in_b,
     )
+
+
+def is_order_preserving(cmap: CellMap) -> bool:
+    """Whether the image of every face of a cell is a face of its image."""
+    masks = cmap.target.masks
+    for i in range(len(cmap.source)):
+        top = masks[cmap.images[i]]
+        for j in cmap.source.facets(i):
+            if any(a & ~b for a, b in zip(masks[cmap.images[j]], top)):
+                return False
+    return True
+
+
+def order_complex_cone_isomorphism(
+    cmap: CellMap, budget: int = DEFAULT_CHAIN_BUDGET
+) -> bool:
+    """Decide whether an order-preserving cell map induces isomorphisms
+    on the homology of the order complexes; the simplicial oracle for
+    ``homcx.homology.induced_map_homology``.
+
+    The cell map induces a simplicial chain map f that sends a simplex
+    whose image degenerates to zero.  f is a quasi-isomorphism iff its
+    mapping cone is acyclic.  The cone's degree-d group is
+    C1_{d-1} + C2_d, in that order, with boundary
+    (a, b) -> (-da, f(a) + db); as a ChainComplex it is checked for
+    dd = 0, which holds iff f is a chain map.
+    """
+    if not is_order_preserving(cmap):
+        raise InvalidParameterError("cell map is not order-preserving")
+    oc1 = OrderComplex(cmap.source, budget)
+    oc2 = OrderComplex(cmap.target, budget)
+    c1 = oc1.chain_complex()
+    c2 = oc2.chain_complex()
+    images = cmap.images
+    boundaries = []
+    for d in range(max(len(c1.ranks) + 1, len(c2.ranks))):
+        # the C2 block of degree d - 1 starts after C1_{d-2}
+        shift = c1.ranks[d - 2] if 2 <= d <= len(c1.ranks) + 1 else 0
+        cols = []
+        if 1 <= d <= len(c1.ranks):
+            for s, col in zip(oc1.simplices[d - 1], c1.boundaries[d - 1]):
+                out = {i: -c for i, c in col.items()}
+                image = tuple(images[v] for v in s)
+                if len(set(image)) == len(image):  # degenerate images are 0
+                    out[shift + oc2.index[d - 1][image]] = 1
+                cols.append(out)
+        if d < len(c2.ranks):
+            for col in c2.boundaries[d]:
+                cols.append({shift + i: c for i, c in col.items()})
+        boundaries.append(cols)
+    cone = homology(ChainComplex([len(cols) for cols in boundaries], boundaries))
+    return not cone.betti and not cone.torsion

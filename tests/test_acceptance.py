@@ -148,9 +148,7 @@ def test_criterion_3_prop32_positive_suite():
                 assert prop32_hypothesis(g, e).holds
                 step = subdivide_edge(g, e)
                 assert profile(K2, step.after).betti == base.betti
-                if g.n <= 12:
-                    pf = pushforward(step.retraction, K2)
-                    assert induced_map_homology(pf).isomorphism
+                assert induced_map_homology(step.retraction, K2)
 
 
 def test_criterion_4_negative_control():

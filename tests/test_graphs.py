@@ -51,6 +51,12 @@ def test_graph_rejects_non_integer_vertex_count(n):
         Graph(n, [(0, 0)])
 
 
+@pytest.mark.parametrize("edge", [(0.5, 1), (0, 1.0), (True, 1), (0, False), ("0", 1)])
+def test_graph_rejects_non_integer_endpoints(edge):
+    with pytest.raises(InvalidParameterError):
+        Graph(2, [edge])
+
+
 @pytest.mark.parametrize("vertices", [[0, 99], [-1, 1], [0, 3], [0.0, 1], [True]])
 def test_induced_rejects_bad_vertices(vertices):
     g = Graph(3, [(0, 1), (1, 2)])
@@ -187,7 +193,17 @@ def test_hom_rejects_non_integer_vertices(mapping):
 
 
 @pytest.mark.parametrize(
-    "obj", [{"n": True, "edges": []}, {"n": 2, "edges": [[False, 1]]}, {"n": 2.0, "edges": []}]
+    "obj",
+    [
+        {"n": True, "edges": []},
+        {"n": 2, "edges": [[False, 1]]},
+        {"n": 2.0, "edges": []},
+        {"n": 2, "edges": [[0.5, 1]]},
+        {"n": -1, "edges": []},
+        {"n": 2, "edges": [[0, 2]]},
+        {"n": 2, "edges": [[0, 1, 1]]},
+        {"n": 2, "edges": [[0, 1], "01"]},
+    ],
 )
 def test_from_json_rejects_non_integer_vertices(obj):
     with pytest.raises(GraphFormatError):

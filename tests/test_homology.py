@@ -1,5 +1,6 @@
 """Integer homology: chain complexes, SNF, reduction, induced maps."""
 
+import importlib
 import itertools
 import random
 
@@ -26,6 +27,7 @@ from homcx.homology import (
     order_complex_homology,
 )
 from homcx.homs import enumerate_cells, pushforward
+from oracles import order_complex_cone_isomorphism
 
 
 def profile(t, g):
@@ -195,11 +197,7 @@ def test_reduction_preserves_homology_on_random_complexes():
 
 def test_induced_map_identity_is_isomorphism():
     c5 = cycle_graph(5)
-    ident = GraphHom.identity(c5)
-    pf = pushforward(ident, complete_graph(2))
-    report = induced_map_homology(pf)
-    assert report.isomorphism
-    assert report.source_profile == report.target_profile
+    assert induced_map_homology(GraphHom.identity(c5), complete_graph(2))
 
 
 def test_induced_map_to_point_kills_top_class():
@@ -207,9 +205,8 @@ def test_induced_map_to_point_kills_top_class():
     c6 = cycle_graph(6)
     k2 = complete_graph(2)
     fold = GraphHom(c6, k2, [0, 1, 0, 1, 0, 1])
-    pf = pushforward(fold, complete_graph(2))
-    report = induced_map_homology(pf)
-    assert not report.isomorphism
+    assert not induced_map_homology(fold, k2)
+    assert not order_complex_cone_isomorphism(pushforward(fold, k2))
 
 
 def test_induced_map_of_triple_wrap_is_not_isomorphism():
@@ -217,30 +214,76 @@ def test_induced_map_of_triple_wrap_is_not_isomorphism():
     # are circles, but H_1 is multiplied by 3, so equal Betti numbers
     # must not decide
     c5 = cycle_graph(5)
-    wrap = GraphHom(cycle_graph(15), c5, [i % 5 for i in range(15)])
-    report = induced_map_homology(pushforward(wrap, complete_graph(2)))
-    assert report.source_profile.betti == report.target_profile.betti == (1, 1)
-    assert not report.isomorphism
-
-
-@settings(max_examples=40, deadline=None)
-@given(g=graphs(6), data=st.data())
-def test_induced_map_isomorphism_implies_equal_profiles(g, data):
     k2 = complete_graph(2)
-    n = data.draw(st.integers(1, g.n))
-    mapping = data.draw(st.lists(st.integers(0, n - 1), min_size=g.n, max_size=g.n))
+    wrap = GraphHom(cycle_graph(15), c5, [i % 5 for i in range(15)])
+    assert profile(k2, wrap.domain).betti == profile(k2, c5).betti == (1, 1)
+    assert not induced_map_homology(wrap, k2)
+    assert not order_complex_cone_isomorphism(pushforward(wrap, k2))
+
+
+def _reflection(n):
+    c = cycle_graph(n)
+    return GraphHom(c, c, [-i % n for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("t", [complete_graph(2), path_graph(3)], ids=["K2", "P3"])
+def test_induced_map_of_reflection_is_isomorphism(n, t):
+    # a reflection of C_n reverses the orientation of cells, so some
+    # signs are -1, and it is still an isomorphism
+    assert induced_map_homology(_reflection(n), t)
+    assert order_complex_cone_isomorphism(pushforward(_reflection(n), t))
+
+
+def test_dropped_sign_fails_dd_zero(monkeypatch):
+    # the package's ``homology`` attribute is the function, not the module
+    module = importlib.import_module("homcx.homology")
+
+    def unsigned(images):
+        return 1 if len(set(images)) == len(images) else 0
+
+    monkeypatch.setattr(module, "_parity", unsigned)
+    with pytest.raises(AssertionError, match="boundary of boundary"):
+        induced_map_homology(_reflection(5), complete_graph(2))
+
+
+@st.composite
+def graph_maps(draw, max_n):
+    """A graph G and a map onto the graph of its edges' images."""
+    g = draw(graphs(max_n))
+    n = draw(st.integers(1, g.n))
+    mapping = draw(st.lists(st.integers(0, n - 1), min_size=g.n, max_size=g.n))
     # the image of every edge, loops included, so the map is a graph map
     target = Graph(n, {(mapping[u], mapping[v]) for u, v in g.edges})
+    return GraphHom(g, target, mapping)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.sampled_from(
+        [complete_graph(2), complete_graph(3), cycle_graph(4), path_graph(3)]
+    ),
+    f=graph_maps(6),
+)
+def test_cellular_cone_matches_order_complex_cone(t, f):
     try:
-        ident = induced_map_homology(
-            pushforward(GraphHom.identity(g), k2, cap=500), budget=20_000
-        )
-        report = induced_map_homology(
-            pushforward(GraphHom(g, target, mapping), k2, cap=500), budget=20_000
+        oracle = order_complex_cone_isomorphism(
+            pushforward(f, t, cap=400), budget=20_000
         )
     except ResourceLimitError:
         assume(False)
-    assert ident.isomorphism
-    assert ident.source_profile == ident.target_profile
-    if report.isomorphism:
-        assert report.source_profile == report.target_profile
+    assert induced_map_homology(f, t) == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=graph_maps(6))
+def test_induced_map_isomorphism_implies_equal_profiles(f):
+    k2 = complete_graph(2)
+    try:
+        ident = induced_map_homology(GraphHom.identity(f.domain), k2, cap=500)
+        isomorphism = induced_map_homology(f, k2, cap=500)
+    except ResourceLimitError:
+        assume(False)
+    assert ident
+    if isomorphism:
+        assert profile(k2, f.domain) == profile(k2, f.codomain)
