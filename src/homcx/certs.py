@@ -1,8 +1,10 @@
 """Certificate loading and independent re-verification.
 
-The verifier trusts nothing in the file beyond the embedded graphs: chi
-values, homology profiles, and the Z_2 flags are all recomputed and
-compared field by field.
+The verifier trusts nothing in the file beyond the family, G, X, Y, the
+maps f and g, and m: H, its embeddings and parts, the chi values, the
+homology profiles, the Z_2 flags and the verdict are all derived again by
+``constructions.certify``, the pipeline's own function, and compared
+field by field.
 """
 
 from __future__ import annotations
@@ -12,18 +14,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import DEFAULT_NODE_BUDGET, chromatic_number
+from .coloring import DEFAULT_NODE_BUDGET
 from .constructions import (
     FamilyMember,
-    _verdict,
-    _verify_member,
-    _z2_summary,
-    cylinder_sweep_order,
+    certify,
     duplicate_names,
-    glue_cylinder,
     uniformly_small_m,
 )
-from .errors import GraphFormatError, InvalidParameterError, ResourceLimitError
+from .errors import GraphFormatError, InvalidParameterError
 from .graphs import Graph, GraphHom
 from .homology import HomologyProfile
 from .homs import DEFAULT_CELL_CAP
@@ -122,9 +120,12 @@ def load_certificate(text: str) -> LoadedCertificate:
         h = Graph.from_json_obj(graphs["H"])
         maps = obj["maps"]
         parts = obj["parts"]
+        n = _int(obj["n"], "n")
+        if n < 1:  # the pipeline refuses n < 1, and chiX > n is then vacuous
+            raise GraphFormatError("n must be >= 1")
         return LoadedCertificate(
             family=tuple(family),
-            n=_int(obj["n"], "n"),
+            n=n,
             m=_int(obj["m"], "m"),
             seed=_int(obj["seed"], "seed"),
             chi_x=_chi_from_json(obj["chiX"]),
@@ -147,102 +148,87 @@ def load_certificate(text: str) -> LoadedCertificate:
         raise GraphFormatError(f"malformed certificate: {exc!r}") from exc
 
 
+def _compared(cert) -> tuple:
+    """H, the vertex maps of its two embeddings, and its parts."""
+    embed_x = None if cert.embed_x is None else cert.embed_x.mapping
+    return (
+        cert.h,
+        embed_x,
+        cert.embed_g.mapping,
+        (cert.a_vertices, cert.b_vertices),
+    )
+
+
 def verify_certificate(
     cert: LoadedCertificate,
     cell_cap: int = DEFAULT_CELL_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[str]:
-    """Recompute every claim; returns the list of failing fields."""
+    """Derive every claim with ``certify`` from the file's G, X, Y, f, g
+    and m, and compare the file's fields with the result; returns the
+    failing fields.  The structural route's argument holds only for the
+    glued H, so the file's H, maps and parts are compared with the glued
+    ones and nothing is computed on them."""
     problems: list[str] = []
-
     if cert.m != uniformly_small_m([t.graph for t in cert.family]):
         problems.append("m")
-
-    glue = None  # the glued graph, once it matches the certificate's
-    if cert.g.has_loop():
-        if cert.h != cert.g:
-            problems.append("graphs.H (looped input must give H = G)")
-        if cert.chi_x != math.inf or cert.chi_h != math.inf:
-            problems.append("chiX/chiH (looped input)")
-        whole = tuple(range(cert.g.n))
-        if cert.a_vertices != whole or cert.b_vertices != whole:
-            problems.append("parts")
-    else:
-        if cert.x is None or cert.y is None:
-            problems.append("graphs.X/graphs.Y missing")
-            return problems
-        if cert.f is None or cert.gmap is None:
-            problems.append("maps.f/maps.g missing")
-            return problems
-        # the structural route argues about the glued graph, so H, its
-        # maps and its parts must be exactly what glue_cylinder builds
-        try:
-            glue = glue_cylinder(cert.x, cert.y, cert.g, cert.f, cert.gmap, cert.m)
-            rebuilt = (
-                glue.h,
-                glue.embed_x.mapping,
-                glue.embed_g.mapping,
-                (glue.a_vertices, glue.b_vertices),
-            )
-        except InvalidParameterError:
-            glue, rebuilt = None, (None,) * 4
-        given = (
-            cert.h,
-            None if cert.embed_x is None else cert.embed_x.mapping,
-            cert.embed_g.mapping,
-            (cert.a_vertices, cert.b_vertices),
+    looped = cert.g.has_loop()
+    if not looped and (cert.x is None or cert.y is None):
+        return problems + ["graphs.X/graphs.Y missing"]
+    if not looped and (cert.f is None or cert.gmap is None):
+        return problems + ["maps.f/maps.g missing"]
+    skip = [
+        t.name
+        for t in cert.family
+        if cert.profiles.get(t.name) in (None, "unverified")
+    ]
+    h_field = "graphs.H (looped input must give H = G)" if looped else "graphs.H"
+    fields = (h_field, "maps.embedX", "maps.embedG", "parts")
+    try:
+        ours = certify(
+            cert.family, cert.n, cert.m, cert.seed, cert.g, cert.x, cert.y,
+            cert.f, cert.gmap, cell_cap, node_budget, skip,
         )
-        fields = ("graphs.H", "maps.embedX", "maps.embedG", "parts")
-        for field, ours, theirs in zip(fields, rebuilt, given):
-            if ours != theirs:
-                problems.append(field)
-                glue = None
-        chi_x = chromatic_number(cert.x, node_budget)
-        if chi_x != cert.chi_x:
+    except InvalidParameterError:  # X, Y, f, g and m glue to no H
+        return problems + list(fields)
+
+    for field, rebuilt, given in zip(fields, _compared(ours), _compared(cert)):
+        if rebuilt != given:
+            problems.append(field)
+    if looped:
+        if (cert.chi_x, cert.chi_h) != (ours.chi_x, ours.chi_h):
+            problems.append("chiX/chiH (looped input)")
+    else:
+        if cert.chi_x != ours.chi_x:
             problems.append("chiX")
-        sweep = cylinder_sweep_order(cert.x.n, cert.y, cert.g.n, cert.m)
-        if sorted(sweep) == list(range(cert.h.n)):
-            chi_h = chromatic_number(cert.h, node_budget, order_hint=sweep)
-        else:
-            chi_h = chromatic_number(cert.h, node_budget)
-        if chi_h != cert.chi_h:
+        if cert.chi_h != ours.chi_h:
             problems.append("chiH")
         if not (cert.chi_h >= cert.chi_x > cert.n):
             problems.append("chiH >= chiX > n")
 
-    z2_triples = []
-    skipped = False
-    for member in cert.family:
-        claimed = cert.profiles.get(member.name)
+    for report in ours.members:
+        claimed = cert.profiles.get(report.name)
         if claimed is None:
-            problems.append(f"profiles.{member.name} missing")
+            problems.append(f"profiles.{report.name} missing")
+        elif claimed == "unverified":
             continue
-        if claimed == "unverified":
-            skipped = True
-            continue
-        try:
-            report = _verify_member(
-                member, cert.g, cert.h, cert.embed_g, cell_cap, glue
-            )
-        except ResourceLimitError:
-            problems.append(f"profiles.{member.name} (cap exceeded)")
-            continue
-        for side, profile in (("G", report.profile_g), ("H", report.profile_h)):
-            if claimed[side] != profile:
-                problems.append(f"profiles.{member.name}.{side}")
-        if report.profile_g != report.profile_h:
-            problems.append(f"profiles.{member.name} (G and H differ)")
-        if report.z2 is not None:
-            z2_triples.append(report.z2)
-            if not all(report.z2):
-                problems.append(f"z2.{member.name}")
+        elif not report.verified:
+            problems.append(f"profiles.{report.name} (cap exceeded)")
+        else:
+            for side, profile in (("G", report.profile_g), ("H", report.profile_h)):
+                if claimed[side] != profile:
+                    problems.append(f"profiles.{report.name}.{side}")
+            if report.profile_g != report.profile_h:
+                problems.append(f"profiles.{report.name} (G and H differ)")
+            if report.z2 is not None and not all(report.z2):
+                problems.append(f"z2.{report.name}")
 
     members = {member.name for member in cert.family}
     for name in sorted(set(cert.profiles) - members):
         problems.append(f"profiles.{name} (not a family member)")
 
-    if cert.z2 != _z2_summary(z2_triples):
+    if cert.z2 != ours.z2:
         problems.append("z2")
-    if not problems and cert.verdict != _verdict(False, skipped):
+    if not problems and cert.verdict != ours.verdict:
         problems.append("verdict")
     return problems

@@ -53,7 +53,6 @@ class SubdivisionStep:
     edge: tuple[int, int]
     after: Graph
     retraction: GraphHom
-    new_vertices: tuple[int, int]  # (0-end adjacent to v, 1-end adjacent to w)
 
 
 def subdivide_edge(g: Graph, e: Sequence[int]) -> SubdivisionStep:
@@ -74,7 +73,6 @@ def subdivide_edge(g: Graph, e: Sequence[int]) -> SubdivisionStep:
         edge=(v, w),
         after=after,
         retraction=GraphHom(after, g, mapping),
-        new_vertices=(zero_end, one_end),
     )
 
 
@@ -103,8 +101,6 @@ def prop32_hypothesis(g: Graph, e: Sequence[int]) -> Prop32Result:
 class FiberReport:
     """Fibers of the retraction's pushforward on box complexes."""
 
-    step: SubdivisionStep
-    singleton_fibers: int
     fiber_i: tuple
     fiber_j: tuple
     zigzags_ok: bool
@@ -153,15 +149,9 @@ def fiber_certificate(
     i_vw = target.index[(1 << v, 1 << w)]
     i_wv = target.index[(1 << w, 1 << v)]
     fibers = pf.fibers()
-    singleton = 0
-    ok = True
-    for j, srcs in fibers.items():
-        if j in (i_vw, i_wv):
-            continue
-        if len(srcs) == 1:
-            singleton += 1
-        else:
-            ok = False
+    ok = all(
+        len(srcs) == 1 for j, srcs in fibers.items() if j not in (i_vw, i_wv)
+    )
     surjective = all(len(srcs) >= 1 for srcs in fibers.values())
     fiber_i = tuple(pf.source.cells[s] for s in fibers[i_vw])
     fiber_j = tuple(pf.source.cells[s] for s in fibers[i_wv])
@@ -170,8 +160,6 @@ def fiber_certificate(
         {c.assignment for c in fiber_i} & {c.assignment for c in fiber_j}
     )
     return FiberReport(
-        step=step,
-        singleton_fibers=singleton,
         fiber_i=fiber_i,
         fiber_j=fiber_j,
         zigzags_ok=zig,
@@ -187,8 +175,6 @@ def fiber_certificate(
 class PathReplacement:
     """Each edge of the base graph replaced by an odd-length path."""
 
-    base: Graph
-    length: int
     result: Graph
     collapse: GraphHom  # result -> base, parity fold of every path
     wrap: Optional[GraphHom]  # result -> C_length, winds each path once
@@ -281,7 +267,7 @@ def replace_edges_with_paths(x: Graph, odd_length: int) -> PathReplacement:
         raise InvalidParameterError("base graph must be loopless")
     if odd_length == 1:
         ident = GraphHom.identity(x)
-        return PathReplacement(x, 1, x, ident, None)
+        return PathReplacement(x, ident, None)
     length = odd_length
     signs = _balanced_signs(x)
     edges = []
@@ -301,8 +287,6 @@ def replace_edges_with_paths(x: Graph, odd_length: int) -> PathReplacement:
     y = Graph(next_label, edges)
     cyc = cycle_graph(length)
     return PathReplacement(
-        base=x,
-        length=length,
         result=y,
         collapse=GraphHom(y, x, collapse),
         wrap=GraphHom(y, cyc, wrap),
@@ -708,21 +692,22 @@ class PipelineCertificate:
     members: tuple[MemberReport, ...]
     verdict: str
 
+    @property
+    def z2(self) -> dict:
+        """The certificate's ``z2`` field from the members' (free on G,
+        free on H, equivariant) triples; all None when no member has one."""
+        triples = [r.z2 for r in self.members if r.z2 is not None]
+        if not triples:
+            return {"free_G": None, "free_H": None, "equivariant": None}
+        return {
+            "free_G": all(t[0] for t in triples),
+            "free_H": all(t[1] for t in triples),
+            "equivariant": all(t[2] for t in triples),
+        }
+
 
 def _chi_json(value) -> object:
     return "inf" if value == math.inf else int(value)
-
-
-def _z2_summary(triples: Sequence[tuple[bool, bool, bool]]) -> dict:
-    """The certificate's ``z2`` field from the members' (free on G,
-    free on H, equivariant) triples; all None when no member has one."""
-    if not triples:
-        return {"free_G": None, "free_H": None, "equivariant": None}
-    return {
-        "free_G": all(t[0] for t in triples),
-        "free_H": all(t[1] for t in triples),
-        "equivariant": all(t[2] for t in triples),
-    }
 
 
 def certificate_json_obj(cert: PipelineCertificate) -> dict:
@@ -754,7 +739,7 @@ def certificate_json_obj(cert: PipelineCertificate) -> dict:
         "chiH": _chi_json(cert.chi_h),
         "seed": cert.seed,
         "profiles": profiles,
-        "z2": _z2_summary([r.z2 for r in cert.members if r.z2 is not None]),
+        "z2": cert.z2,
         "verdict": cert.verdict,
         "graphs": {
             "G": cert.g.to_json_obj(),
@@ -847,69 +832,77 @@ def theorem51_pipeline(
     if g.n == 0 or not is_connected(g):
         raise DisconnectedGraphError("input graph must be connected")
     m = uniformly_small_m([member.graph for member in family])
+    x = y = f = gmap = None
+    if not g.has_loop():
+        if is_bipartite(g):
+            raise BipartiteInputError("loopless bipartite input has no odd cycle")
+        x = find_high_girth_high_chromatic(n, m, node_budget=node_budget).graph
+        length = int(odd_girth(g))
+        repl = replace_edges_with_paths(x, length)
+        embed_cycle = GraphHom(cycle_graph(length), g, shortest_odd_cycle(g))
+        y, f, gmap = repl.result, repl.collapse, embed_cycle.compose(repl.wrap)
+    return certify(family, n, m, seed, g, x, y, f, gmap, cell_cap, node_budget)
 
+
+def certify(
+    family: Sequence[FamilyMember],
+    n: int,
+    m: int,
+    seed: int,
+    g: Graph,
+    x: Optional[Graph],
+    y: Optional[Graph],
+    f: Optional[GraphHom],
+    gmap: Optional[GraphHom],
+    cell_cap: int = DEFAULT_CELL_CAP,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    skip: Sequence[str] = (),
+) -> PipelineCertificate:
+    """Everything a certificate claims, derived from its inputs.
+
+    H is glued from X, Y, f: Y -> X and g: Y -> G along a cylinder of
+    length m, or is G itself when G has a loop.  Then chi(X), chi(H)
+    (with the sweep order), every member's report and the verdict are
+    computed on that H; the members named in ``skip`` are recorded
+    unverified.  The pipeline and the verifier both take their claims
+    from here, so a verified claim is one about the glued H.  Raises
+    InvalidParameterError when X, Y, f, g and m glue to no graph.
+    """
     if g.has_loop():
         # a loop forces every chromatic bound at once, so H = G works
-        ident = GraphHom.identity(g)
-        members, failed, skipped = _run_members(
-            family, g, g, ident, cell_cap, None
-        )
-        verdict = _verdict(failed, skipped)
-        return PipelineCertificate(
-            family=family,
-            n=n,
-            m=m,
-            seed=seed,
-            g=g,
-            x=None,
-            y=None,
-            h=g,
-            f=None,
-            gmap=None,
-            embed_x=None,
-            embed_g=ident,
-            a_vertices=tuple(range(g.n)),
-            b_vertices=tuple(range(g.n)),
-            chi_x=math.inf,
-            chi_h=math.inf,
-            members=members,
-            verdict=verdict,
-        )
-    if is_bipartite(g):
-        raise BipartiteInputError("loopless bipartite input has no odd cycle")
-
-    found = find_high_girth_high_chromatic(n, m, node_budget=node_budget)
-    x = found.graph
-    length = int(odd_girth(g))
-    repl = replace_edges_with_paths(x, length)
-    cycle = shortest_odd_cycle(g)
-    embed_cycle = GraphHom(cycle_graph(length), g, cycle)
-    gmap = embed_cycle.compose(repl.wrap)
-    glue = glue_cylinder(x, repl.result, g, repl.collapse, gmap, m)
-
-    chi_x = found.chi
-    sweep = cylinder_sweep_order(x.n, repl.result, g.n, m)
-    chi_h = chromatic_number(glue.h, node_budget, order_hint=sweep)
-    failed = not (chi_h >= chi_x > n)
-    members, member_failed, skipped = _run_members(
-        family, g, glue.h, glue.embed_g, cell_cap, glue
+        glue = None
+        h, embed_x, embed_g = g, None, GraphHom.identity(g)
+        a = b = tuple(range(g.n))
+        chi_x = chi_h = math.inf
+    else:
+        glue = glue_cylinder(x, y, g, f, gmap, m)
+        h, embed_x, embed_g = glue.h, glue.embed_x, glue.embed_g
+        a, b = glue.a_vertices, glue.b_vertices
+        chi_x = chromatic_number(x, node_budget)
+        sweep = cylinder_sweep_order(x.n, y, g.n, m)
+        chi_h = chromatic_number(h, node_budget, order_hint=sweep)
+    members, failed, skipped = _run_members(
+        family, g, h, embed_g, cell_cap, glue, skip
     )
-    verdict = _verdict(failed or member_failed, skipped)
+    if failed or not chi_h >= chi_x > n:
+        verdict = "failed"
+    else:
+        verdict = "partial" if skipped else "consistent"
     return PipelineCertificate(
-        family=family,
+        family=tuple(family),
         n=n,
         m=m,
         seed=seed,
         g=g,
         x=x,
-        y=repl.result,
-        h=glue.h,
-        f=repl.collapse,
+        y=y,
+        h=h,
+        f=f,
         gmap=gmap,
-        embed_x=glue.embed_x,
-        embed_g=glue.embed_g,
-        a_vertices=glue.a_vertices,
-        b_vertices=glue.b_vertices,
+        embed_x=embed_x,
+        embed_g=embed_g,
+        a_vertices=a,
+        b_vertices=b,
         chi_x=chi_x,
         chi_h=chi_h,
         members=members,
@@ -917,14 +910,20 @@ def theorem51_pipeline(
     )
 
 
-def _run_members(family, g, h, embed_g, cell_cap, glue):
+def _run_members(family, g, h, embed_g, cell_cap, glue, skip=()):
+    """Each member's report, and whether any failed or went unverified:
+    a member in ``skip`` or over the cell cap is recorded unverified."""
     members = []
     failed = False
     skipped = False
     for member in family:
-        try:
-            report = _verify_member(member, g, h, embed_g, cell_cap, glue)
-        except ResourceLimitError:
+        report = None
+        if member.name not in skip:
+            try:
+                report = _verify_member(member, g, h, embed_g, cell_cap, glue)
+            except ResourceLimitError:
+                pass
+        if report is None:
             members.append(MemberReport(member.name, None, None, None, False))
             skipped = True
             continue
@@ -934,11 +933,3 @@ def _run_members(family, g, h, embed_g, cell_cap, glue):
             failed = True
         members.append(report)
     return tuple(members), failed, skipped
-
-
-def _verdict(failed: bool, skipped: bool) -> str:
-    if failed:
-        return "failed"
-    if skipped:
-        return "partial"
-    return "consistent"

@@ -92,44 +92,10 @@ class ChainComplex:
         return len(self.ranks) - 1
 
     def _check_dd_zero(self) -> None:
-        """Exact check that every boundary of a boundary is zero.
-
-        With unit coefficients throughout, the boundary of column j's
-        boundary is zero iff the rows it reaches with +1 and with -1 form
-        the same multiset; other columns are summed in a dict.  The rows
-        are kept as tuples of ints, which the garbage collector stops
-        tracking, so they add no work to its later collections.
-        """
+        """Exact check that every boundary of a boundary is zero."""
         for d in range(2, len(self.ranks)):
             lower = self.boundaries[d - 1]
-            plus: list = []  # per lower column: its +1 rows, or None
-            minus: list = []  # its -1 rows
-            for col in lower:
-                p = tuple([i for i, c in col.items() if c == 1])
-                m = tuple([i for i, c in col.items() if c == -1])
-                unit = len(p) + len(m) == len(col)
-                plus.append(p if unit else None)
-                minus.append(m if unit else None)
             for col in self.boundaries[d]:
-                pos: list[int] = []
-                neg: list[int] = []
-                for i, c in col.items():
-                    if c == 1:
-                        p, m = plus[i], minus[i]
-                    elif c == -1:
-                        p, m = minus[i], plus[i]
-                    else:
-                        break
-                    if p is None:
-                        break
-                    pos += p
-                    neg += m
-                else:
-                    pos.sort()
-                    neg.sort()
-                    if pos != neg:
-                        raise AssertionError("boundary of boundary is nonzero")
-                    continue
                 acc: dict[int, int] = {}
                 for i, c in col.items():
                     for i2, c2 in lower[i].items():

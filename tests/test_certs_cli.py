@@ -1,6 +1,7 @@
 """Certificate verification and the command line interface."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -241,6 +242,8 @@ def test_cli_verify_rejects_nameless_member(tmp_path, looped_cert_text):
     [
         (("n",), True),
         (("n",), 2.9),
+        (("n",), 0),
+        (("n",), -3),
         (("m",), "7"),
         (("seed",), 1.7),
         (("chiH",), True),
@@ -254,7 +257,7 @@ def test_cli_verify_rejects_nameless_member(tmp_path, looped_cert_text):
         (("maps", "f"), [0]),
     ],
     ids=[
-        "n-bool", "n-float", "m-string", "seed-float", "chi-bool", "parts-float",
+        "n-bool", "n-float", "n-zero", "n-negative", "m-string", "seed-float", "chi-bool", "parts-float",
         "parts-outside-H", "parts-string", "profiles-list", "profile-string",
         "betti-bool", "torsion-float", "map-without-graphs",
     ],
@@ -423,15 +426,29 @@ def test_glued_certificate_bytes_are_pinned(tmp_path, glued_cert_text):
     assert main(["verify", str(out)]) == 0
 
 
+constructions = importlib.import_module("homcx.constructions")
+homs = importlib.import_module("homcx.homs")
+
+
 def _tampered(text, edit):
     obj = json.loads(text)
     edit(obj)
-    # a small cap: the tampered H is verified by enumerating Hom(K2, H)
+    # a small cap keeps a verifier that enumerates Hom(K2, H) quick
     return verify_certificate(load_certificate(json.dumps(obj)), cell_cap=1000)
 
 
-def test_verify_rebuilds_the_glued_graph_and_its_maps(glued_cert_text):
+def test_verify_rebuilds_the_glued_graph_and_its_maps(glued_cert_text, monkeypatch):
     assert verify_certificate(load_certificate(glued_cert_text)) == []
+    h_n = load_certificate(glued_cert_text).h.n
+    built = []  # the vertex count of the target of every Hom complex built
+    enumerate_cells = homs.enumerate_cells
+
+    def recording(t, g, *args, **kwargs):
+        built.append(g.n)
+        return enumerate_cells(t, g, *args, **kwargs)
+
+    for module in (constructions, homs):
+        monkeypatch.setattr(module, "enumerate_cells", recording)
 
     def add_edge(obj):
         obj["graphs"]["H"]["edges"].append([0, 2])  # a chord of X = C7
@@ -449,6 +466,25 @@ def test_verify_rebuilds_the_glued_graph_and_its_maps(glued_cert_text):
         (rotate_g, "maps.embedG"),
         (rotate_x, "maps.embedX"),
     ):
-        problems = _tampered(glued_cert_text, edit)
-        assert field in problems
-        assert "profiles.K2 (cap exceeded)" in problems
+        built.clear()
+        # every claim is derived on the glued H, so only the edit shows
+        assert _tampered(glued_cert_text, edit) == [field]
+        # and no Hom complex is built over the file's H or the glued one
+        assert built and max(built) < h_n
+
+
+def test_verify_takes_unverified_claims_without_building_them(
+    glued_cert_text, monkeypatch
+):
+    obj = json.loads(glued_cert_text)
+    obj["profiles"]["K2"] = "unverified"
+    obj["z2"] = {"free_G": None, "free_H": None, "equivariant": None}
+    obj["verdict"] = "partial"
+
+    def refuse(member, *args):
+        raise AssertionError(f"Hom complexes of {member.name} were built")
+
+    monkeypatch.setattr(constructions, "_verify_member", refuse)
+    assert verify_certificate(load_certificate(json.dumps(obj))) == []
+    obj["verdict"] = "consistent"
+    assert verify_certificate(load_certificate(json.dumps(obj))) == ["verdict"]

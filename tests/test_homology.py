@@ -79,11 +79,11 @@ def test_dd_zero_enforced():
 
 
 def test_dd_zero_sums_non_unit_columns_exactly():
-    # a non-unit coefficient sends a column to the summing fallback
+    # the check sums each column's boundary, so non-unit coefficients count
     ChainComplex([1, 1, 1], [[{}], [{}], [{0: 2}]])
     with pytest.raises(AssertionError):
         ChainComplex([2, 1, 1], [[{}, {}], [{0: 1, 1: -1}], [{0: 2}]])
-    # so does a unit column over a non-unit lower column
+    # and a unit column over a non-unit lower column
     ChainComplex([1, 2, 1], [[{}], [{0: 2}, {0: 2}], [{0: 1, 1: -1}]])
     with pytest.raises(AssertionError):
         ChainComplex([1, 2, 1], [[{}], [{0: 2}, {0: 2}], [{0: 1, 1: 1}]])
