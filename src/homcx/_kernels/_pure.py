@@ -3,32 +3,37 @@
 Two inner loops dominate the whole library: backtracking enumeration of
 graph homomorphisms and integer reduction of boundary matrices.  Both are
 implemented here on plain Python ints (vertex sets as bitmasks, exact
-arbitrary-precision matrix entries).  The Morse reduction only deletes
-cells, so it reads the boundary columns and never copies or writes them.
+arbitrary-precision matrix entries).  The homomorphism search assigns
+the source vertices in any order the caller gives and can spend a node
+budget, so it also decides k-colourability as a map into K_k.  The Morse
+reduction only deletes cells, so it reads the boundary columns and never
+copies or writes them.
 """
 
 from __future__ import annotations
 
+from ..errors import ResourceLimitError
 
-def search_homs(next_adj, t_loop, g_adj, g_loop_mask, n_g, cap):
+
+def search_homs(next_adj, t_loop, g_adj, g_loop_mask, n_g, cap, budget=None):
     """Enumerate adjacency-preserving maps by forward-checked backtracking.
 
-    Positions 0..n_t-1 are the source vertices in assignment (BFS) order.
-    next_adj[i] lists positions j > i adjacent to i; t_loop[i] flags a
-    loop at position i; g_adj[x] is the loop-inclusive neighbor bitmask
-    of target vertex x and g_loop_mask the bitmask of looped targets.
+    Positions 0..n_t-1 are the source vertices in assignment order, which
+    may be any order.  next_adj[i] lists positions j > i adjacent to i;
+    t_loop[i] flags a loop at position i; g_adj[x] is the loop-inclusive
+    neighbor bitmask of target vertex x and g_loop_mask the bitmask of
+    looped targets.
+
+    ``budget``, when given, is the coloring node budget as a one-element
+    countdown: each call that still has a position to assign spends one
+    node, and a spent budget raises ResourceLimitError.
 
     Returns a list of assignment tuples (by position), or None if more
     than ``cap`` maps exist.
     """
     n_t = len(t_loop)
-    if n_t == 0:
-        return [()]
     full = (1 << n_g) - 1
-    base = [g_loop_mask if t_loop[i] else full for i in range(n_t)]
-    if n_g == 0:
-        return []
-    domains = list(base)
+    domains = [g_loop_mask if t_loop[i] else full for i in range(n_t)]
     assignment = [0] * n_t
     results = []
 
@@ -36,6 +41,10 @@ def search_homs(next_adj, t_loop, g_adj, g_loop_mask, n_g, cap):
         if i == n_t:
             results.append(tuple(assignment))
             return len(results) <= cap
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise ResourceLimitError("coloring node budget exceeded")
         mask = domains[i]
         while mask:
             low = mask & -mask

@@ -1,4 +1,5 @@
-"""Exact chromatic number via DSATUR-ordered branch and bound."""
+"""Exact chromatic number via DSATUR-ordered branch and bound, or, along
+a given vertex order, as the least k with a graph map G -> K_k."""
 
 from __future__ import annotations
 
@@ -6,8 +7,10 @@ import math
 from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
+from .builders import complete_graph
 from .errors import InvalidParameterError, ResourceLimitError
 from .graphs import Graph, is_bipartite
+from .homs import _hom_exists
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -72,62 +75,6 @@ def greedy_coloring(g: Graph) -> list[int]:
     return colors
 
 
-def _ordered_k_coloring(
-    g: Graph, k: int, order: Sequence[int], budget: list[int]
-) -> Optional[list[int]]:
-    """Complete forward-checked search along a fixed vertex order.
-
-    With a structure-aware order (small frontier) this vastly outperforms
-    the saturation heuristic on grid-like graphs.
-    """
-    n = g.n
-    pos = {v: i for i, v in enumerate(order)}
-    nxt: list[list[int]] = [[] for _ in range(n)]
-    for i, v in enumerate(order):
-        for w in g.adjacency[v]:
-            if w != v and pos[w] > i:
-                nxt[i].append(pos[w])
-    full = (1 << k) - 1
-    dom = [full] * n
-    assign = [0] * n
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return True
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceLimitError("coloring node budget exceeded")
-        mask = dom[i]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            c = low.bit_length() - 1
-            assign[i] = c
-            saved = []
-            ok = True
-            for j in nxt[i]:
-                old = dom[j]
-                new = old & ~(1 << c)
-                if new != old:
-                    saved.append((j, old))
-                    dom[j] = new
-                    if new == 0:
-                        ok = False
-                        break
-            if ok and rec(i + 1):
-                return True
-            for j, old in saved:
-                dom[j] = old
-        return False
-
-    if rec(0):
-        colors = [0] * n
-        for i, v in enumerate(order):
-            colors[v] = assign[i]
-        return colors
-    return None
-
-
 def _k_coloring(g: Graph, k: int, budget: list[int]) -> Optional[list[int]]:
     """Find a k-coloring by DSATUR backtracking, or None.
 
@@ -186,9 +133,10 @@ def chromatic_number(
 ):
     """Exact chromatic number; math.inf for graphs with a loop.
 
-    ``order_hint``, a permutation of the vertices, selects a fixed-order
-    forward-checked search instead of DSATUR branch and bound; both are
-    complete.
+    ``order_hint``, a permutation of the vertices, replaces DSATUR branch
+    and bound: each k is decided by the forward-checked homomorphism
+    search for a map g -> K_k, assigning the vertices in that order.  Both
+    are complete and spend the same ``node_budget``.
     """
     if order_hint is not None and sorted(order_hint) != list(range(g.n)):
         raise InvalidParameterError(
@@ -207,9 +155,9 @@ def chromatic_number(
     budget = [node_budget]
     for k in range(lower, upper):
         if order_hint is None:
-            colors = _k_coloring(g, k, budget)
+            found = _k_coloring(g, k, budget) is not None
         else:
-            colors = _ordered_k_coloring(g, k, order_hint, budget)
-        if colors is not None:
+            found = _hom_exists(g, complete_graph(k), order_hint, budget)
+        if found:
             return k
     return upper

@@ -35,7 +35,7 @@ from .graphs import (
 )
 from .homs import (
     DEFAULT_CELL_CAP,
-    _hom_mappings,
+    _hom_exists,
     _vertices,
     enumerate_cells,
     pushforward,
@@ -402,19 +402,11 @@ def uniformly_small_m(family: Sequence[Graph]) -> int:
 # -- verified high-girth high-chromatic search ---------------------------
 
 
-@dataclass(frozen=True)
-class HighGirthResult:
-    graph: Graph
-    source: str  # "odd-cycle" or a library name
-    chi: int
-    girth: int
-
-
 def find_high_girth_high_chromatic(
     n: int,
     m: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> HighGirthResult:
+) -> Graph:
     """A connected graph with chromatic number > n and girth >= m.
 
     Tries an odd cycle (n <= 2), then the curated library; every
@@ -425,11 +417,11 @@ def find_high_girth_high_chromatic(
         raise InvalidParameterError("need n >= 1 and m >= 3")
     if n <= 2:
         cyc = cycle_graph(m if m % 2 else m + 1)
-        return _verified(cyc, "odd-cycle", n, m, node_budget)
-    for name, _, lib_girth, graph in high_girth_library():
+        return _verified(cyc, n, m, node_budget)
+    for _, _, lib_girth, graph in high_girth_library():
         if lib_girth >= m:
             try:
-                return _verified(graph, name, n, m, node_budget)
+                return _verified(graph, n, m, node_budget)
             except NotFoundWithinBudgetError:
                 continue
     raise NotFoundWithinBudgetError(
@@ -437,16 +429,14 @@ def find_high_girth_high_chromatic(
     )
 
 
-def _verified(
-    g: Graph, source: str, n: int, m: int, node_budget: int
-) -> HighGirthResult:
+def _verified(g: Graph, n: int, m: int, node_budget: int) -> Graph:
     gi = girth(g)
     if gi < m:
         raise NotFoundWithinBudgetError(f"girth {gi} < {m}")
     chi = chromatic_number(g, node_budget)
     if not chi > n:
         raise NotFoundWithinBudgetError(f"chromatic number {chi} <= {n}")
-    return HighGirthResult(g, source, int(chi), gi if gi != INFINITY else g.n + 1)
+    return g
 
 
 def shortest_odd_cycle(g: Graph) -> list[int]:
@@ -599,9 +589,7 @@ def structural_failure(
     ):
         return "folds"
     if not is_bipartite(t):
-        try:
-            _hom_mappings(t, h.induced(a), cap=0)  # raises at the first map
-        except ResourceLimitError:
+        if _hom_exists(t, h.induced(a)):
             return "Hom(T, H[A]) is not empty"
         return None
     from .homology import induced_map_homology
@@ -836,7 +824,7 @@ def theorem51_pipeline(
     if not g.has_loop():
         if is_bipartite(g):
             raise BipartiteInputError("loopless bipartite input has no odd cycle")
-        x = find_high_girth_high_chromatic(n, m, node_budget=node_budget).graph
+        x = find_high_girth_high_chromatic(n, m, node_budget=node_budget)
         length = int(odd_girth(g))
         repl = replace_edges_with_paths(x, length)
         embed_cycle = GraphHom(cycle_graph(length), g, shortest_odd_cycle(g))

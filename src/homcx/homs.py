@@ -7,7 +7,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import _kernels
 from .errors import (
@@ -193,11 +193,18 @@ def _bfs_order(g: Graph) -> list[int]:
     return order
 
 
-def _hom_mappings(
-    t: Graph, g: Graph, cap: int = DEFAULT_CELL_CAP
-) -> list[tuple[int, ...]]:
-    """The mapping tuples of all graph homomorphisms t -> g, sorted."""
-    order = _bfs_order(t)
+def _hom_search(
+    t: Graph,
+    g: Graph,
+    cap: int,
+    order: Optional[Sequence[int]] = None,
+    budget: Optional[list[int]] = None,
+) -> Optional[list[tuple[int, ...]]]:
+    """The kernel's homomorphisms t -> g as mapping tuples, or None if
+    more than ``cap`` exist.  t's vertices are assigned in ``order``, BFS
+    order by default; ``budget`` is the kernel's node countdown."""
+    if order is None:
+        order = _bfs_order(t)
     pos = {v: i for i, v in enumerate(order)}
     next_adj: list[list[int]] = [[] for _ in order]
     t_loop = [False] * len(order)
@@ -214,12 +221,34 @@ def _hom_mappings(
     g_loop_mask = 0
     for v in g.loops():
         g_loop_mask |= 1 << v
-    raw = _kernels.search_homs(next_adj, t_loop, g_adj, g_loop_mask, g.n, cap)
-    if raw is None:
-        raise ResourceLimitError(f"more than {cap} homomorphisms")
-    return sorted(
-        tuple(assignment[pos[v]] for v in range(t.n)) for assignment in raw
+    raw = _kernels.search_homs(
+        next_adj, t_loop, g_adj, g_loop_mask, g.n, cap, budget
     )
+    if raw is None:
+        return None
+    return [tuple(assignment[pos[v]] for v in range(t.n)) for assignment in raw]
+
+
+def _hom_mappings(
+    t: Graph, g: Graph, cap: int = DEFAULT_CELL_CAP
+) -> list[tuple[int, ...]]:
+    """The mapping tuples of all graph homomorphisms t -> g, sorted."""
+    maps = _hom_search(t, g, cap)
+    if maps is None:
+        raise ResourceLimitError(f"more than {cap} homomorphisms")
+    maps.sort()
+    return maps
+
+
+def _hom_exists(
+    t: Graph,
+    g: Graph,
+    order: Optional[Sequence[int]] = None,
+    budget: Optional[list[int]] = None,
+) -> bool:
+    """Whether some homomorphism t -> g exists; the search stops at the
+    first one.  ``order`` and ``budget`` are as in ``_hom_search``."""
+    return _hom_search(t, g, 0, order, budget) is None
 
 
 def enumerate_homs(

@@ -1,10 +1,11 @@
 """Enumerating oracles for claims that homcx proves structurally or on
-cellular chains, and graph surgery that only the tests use."""
+cellular chains, the coloring search that the homomorphism search
+replaced, and graph surgery that only the tests use."""
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from homcx.errors import InvalidParameterError
+from homcx.errors import InvalidParameterError, ResourceLimitError
 from homcx.graphs import Graph, is_bipartite
 from homcx.homology import (
     DEFAULT_CHAIN_BUDGET,
@@ -28,6 +29,63 @@ def mycielskian(g: Graph) -> Graph:
         edges += [(u, n + v), (v, n + u)]
     edges += [(n + v, 2 * n) for v in range(n)]
     return Graph(2 * n + 1, edges)
+
+
+def reference_ordered_k_coloring(
+    g: Graph, k: int, order: Sequence[int], budget: list[int]
+) -> Optional[list[int]]:
+    """The fixed-order forward-checked coloring search that deciding
+    Hom(g, K_k) != {} replaced, kept as its oracle: a k-coloring, or None.
+
+    Spends one node of ``budget``, a one-element countdown, per call with
+    a vertex left to color, and raises ResourceLimitError once it is spent.
+    """
+    n = g.n
+    pos = {v: i for i, v in enumerate(order)}
+    nxt: list[list[int]] = [[] for _ in range(n)]
+    for i, v in enumerate(order):
+        for w in g.adjacency[v]:
+            if w != v and pos[w] > i:
+                nxt[i].append(pos[w])
+    full = (1 << k) - 1
+    dom = [full] * n
+    assign = [0] * n
+
+    def rec(i: int) -> bool:
+        if i == n:
+            return True
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ResourceLimitError("coloring node budget exceeded")
+        mask = dom[i]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            c = low.bit_length() - 1
+            assign[i] = c
+            saved = []
+            ok = True
+            for j in nxt[i]:
+                old = dom[j]
+                new = old & ~(1 << c)
+                if new != old:
+                    saved.append((j, old))
+                    dom[j] = new
+                    if new == 0:
+                        ok = False
+                        break
+            if ok and rec(i + 1):
+                return True
+            for j, old in saved:
+                dom[j] = old
+        return False
+
+    if rec(0):
+        colors = [0] * n
+        for i, v in enumerate(order):
+            colors[v] = assign[i]
+        return colors
+    return None
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,14 @@ from homcx.builders import (
 )
 from homcx.coloring import (
     _k_coloring,
-    _ordered_k_coloring,
     chromatic_number,
     greedy_clique,
     greedy_coloring,
 )
 from homcx.errors import InvalidParameterError, ResourceLimitError
 from homcx.graphs import Graph, GraphHom
-from oracles import mycielskian
+from homcx.homs import _hom_exists
+from oracles import mycielskian, reference_ordered_k_coloring
 
 
 def coloring_hom(g: Graph, colors: list[int], k: int) -> GraphHom:
@@ -174,16 +174,14 @@ def test_chromatic_number_matches_brute_force(case):
     assert chromatic_number(g) == expected
     assert chromatic_number(g, order_hint=order) == expected
     # each exact search alone decides every k, whatever the greedy bounds
-    for search in (
-        lambda k: _k_coloring(g, k, [10**6]),
-        lambda k: _ordered_k_coloring(g, k, order, [10**6]),
-    ):
-        colors = search(expected)
-        assert colors is not None
-        assert all(0 <= c < expected for c in colors)
-        assert all(colors[u] != colors[v] for u, v in g.edges)
-        if expected > 0:
-            assert search(expected - 1) is None
+    colors = _k_coloring(g, expected, [10**6])
+    assert colors is not None
+    assert all(0 <= c < expected for c in colors)
+    assert all(colors[u] != colors[v] for u, v in g.edges)
+    assert _hom_exists(g, complete_graph(expected), order)
+    if expected > 0:
+        assert _k_coloring(g, expected - 1, [10**6]) is None
+        assert not _hom_exists(g, complete_graph(expected - 1), order)
 
 
 # -- the lambda-scan DSATUR rule, kept as the oracle ---------------------
@@ -283,6 +281,28 @@ def test_dsatur_matches_reference_rule(case, nodes):
         )
 
 
+def _reference_ordered_search(order):
+    """The reference fixed-order search for one k, as (g, k, budget) -> found."""
+    return lambda g, k, budget: (
+        reference_ordered_k_coloring(g, k, order, budget) is not None
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_orders(max_n=16), st.integers(0, 400))
+def test_ordered_hom_search_matches_reference_coloring(case, nodes):
+    g, order = case
+
+    def hom_search(g, k, budget):
+        return _hom_exists(g, complete_graph(k), order, budget)
+
+    for k in range(1, 7):
+        # small budgets end some searches, which must stop at the same node
+        assert _run_search(hom_search, g, k, nodes) == _run_search(
+            _reference_ordered_search(order), g, k, nodes
+        )
+
+
 def _clique_number(g):
     adj = g.adjacency
     best = 0
@@ -310,13 +330,14 @@ def _gnp_chi_above_clique(index, n=12, p=0.4, seed=7):
             index -= 1
 
 
-def _reference_chi_and_nodes(g):
-    """chromatic_number's bounds and search order, by the reference rule."""
+def _reference_chi_and_nodes(g, search=reference_k_coloring):
+    """chromatic_number's bounds and search order, by the reference rule
+    and the reference ``search`` for each k."""
     lower = max(3, len(greedy_clique(g)))
     upper = max(reference_greedy_coloring(g)) + 1
     budget = [10**9]
     for k in range(lower, upper):
-        if reference_k_coloring(g, k, budget) is not None:
+        if search(g, k, budget):
             return k, 10**9 - budget[0]
     return upper, 10**9 - budget[0]
 
@@ -338,3 +359,10 @@ def test_node_budget_boundary_is_unchanged(name):
     assert chromatic_number(g, node_budget=nodes) == chi
     with pytest.raises(ResourceLimitError):
         chromatic_number(g, node_budget=nodes - 1)
+    order = list(range(g.n))
+    chi, nodes = _reference_chi_and_nodes(g, _reference_ordered_search(order))
+    assert nodes > 0
+    assert chromatic_number(g, node_budget=nodes, order_hint=order) == chi
+    with pytest.raises(ResourceLimitError) as exc:
+        chromatic_number(g, node_budget=nodes - 1, order_hint=order)
+    assert str(exc.value) == "coloring node budget exceeded"

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from homcx.builders import (
+    chi4_girth5_graph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -159,26 +160,24 @@ def test_shortest_odd_cycle_embeds():
 def test_find_high_girth_deterministic():
     a = find_high_girth_high_chromatic(2, 7)
     b = find_high_girth_high_chromatic(2, 7)
-    assert a.graph == b.graph
-    assert a.chi > 2 and a.girth >= 7
-    assert a.source == "odd-cycle"
+    assert a == b == cycle_graph(7)
+    assert chromatic_number(a) > 2 and girth(a) >= 7
 
 
 def test_find_high_girth_n3_verified():
-    res = find_high_girth_high_chromatic(3, 5)
-    assert res.source == "chi4_girth5"
-    assert res.chi == chromatic_number(res.graph) == 4
-    assert res.girth == girth(res.graph) == 5
+    g = find_high_girth_high_chromatic(3, 5)
+    assert g == chi4_girth5_graph()
+    assert chromatic_number(g) == 4
+    assert girth(g) == 5
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("m", [3, 4, 7, 8])
 def test_find_high_girth_odd_cycle_for_small_n(n, m):
-    res = find_high_girth_high_chromatic(n, m)
-    assert res.source == "odd-cycle"
-    assert res.graph == cycle_graph(m if m % 2 else m + 1)
-    assert res.chi == chromatic_number(res.graph) == 3
-    assert res.girth == girth(res.graph) == res.graph.n
+    g = find_high_girth_high_chromatic(n, m)
+    assert g == cycle_graph(m if m % 2 else m + 1)
+    assert chromatic_number(g) == 3
+    assert girth(g) == g.n
 
 
 @pytest.mark.parametrize("n, m", [(3, 7), (4, 5)])

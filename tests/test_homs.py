@@ -20,6 +20,8 @@ from homcx.errors import ResourceLimitError
 from homcx.graphs import Graph, GraphHom
 from homcx.homs import (
     Involution,
+    _hom_exists,
+    _hom_mappings,
     _lex_key,
     _vertices,
     enumerate_cells,
@@ -78,6 +80,17 @@ def graphs(draw, max_n, loops=False, min_n=1):
         pairs = [(u, v) for u, v in pairs if u != v]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_hom_exists_matches_enumeration(data):
+    t = data.draw(graphs(5, loops=True, min_n=0))
+    g = data.draw(graphs(5, loops=True, min_n=0))
+    order = data.draw(st.permutations(range(t.n)))
+    expected = bool(_hom_mappings(t, g))
+    assert _hom_exists(t, g) == expected
+    assert _hom_exists(t, g, order) == expected
 
 
 @st.composite

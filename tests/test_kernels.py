@@ -8,6 +8,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import homcx
@@ -22,7 +23,7 @@ from homcx.homology import (
     cellular_chain_complex,
     homology,
 )
-from homcx.homs import enumerate_cells
+from homcx.homs import _hom_mappings, enumerate_cells
 
 non_units = st.integers(-9, 9).filter(lambda v: v not in (1, -1))
 # lists of rows, at most 5 x 5
@@ -63,6 +64,12 @@ def test_search_homs_returns_none_past_cap():
     assert len(search_homs(*args, 27)) == 27
     assert search_homs(*args, 26) is None
     assert search_homs(*args, 5) is None
+    # a source with no vertices has one map, the empty one
+    args = ([], [], [2, 1], 0, 2)
+    assert search_homs(*args, 1) == [()]
+    assert search_homs(*args, 0) is None
+    with pytest.raises(ResourceLimitError):
+        _hom_mappings(Graph(0, []), complete_graph(2), cap=0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -222,7 +222,7 @@ def reference_fold_retraction(h, vertices, target):
 )
 def test_fold_retraction_matches_reference(member, g):
     m = uniformly_small_m([member])
-    glue = glue_for(find_high_girth_high_chromatic(2, m).graph, g, m, subdivide=True)
+    glue = glue_for(find_high_girth_high_chromatic(2, m), g, m, subdivide=True)
     h = glue.h
     for part, target in (
         (glue.a_vertices, glue.embed_x.mapping),
