@@ -16,13 +16,10 @@ from .constructions import (
     FamilyMember,
     PipelineCertificate,
     certificate_json,
-    fiber_certificate,
     find_high_girth_high_chromatic,
     glue_cylinder,
-    prop32_hypothesis,
     replace_edges_with_paths,
     shortest_odd_cycle,
-    subdivide_edge,
     theorem51_pipeline,
     uniformly_small_m,
 )
@@ -91,7 +88,6 @@ __all__ = [
     "cycle_graph",
     "enumerate_cells",
     "enumerate_homs",
-    "fiber_certificate",
     "find_high_girth_high_chromatic",
     "glue_cylinder",
     "greedy_coloring",
@@ -104,12 +100,10 @@ __all__ = [
     "order_complex_homology",
     "path_graph",
     "petersen_graph",
-    "prop32_hypothesis",
     "pullback",
     "pushforward",
     "replace_edges_with_paths",
     "shortest_odd_cycle",
-    "subdivide_edge",
     "theorem51_pipeline",
     "uniformly_small_m",
     "verify_certificate",

@@ -1,10 +1,10 @@
 """Certificate loading and independent re-verification.
 
-The verifier trusts nothing in the file beyond the family, G, X, Y, the
-maps f and g, and m: H, its embeddings and parts, the chi values, the
-homology profiles, the Z_2 flags and the verdict are all derived again by
-``constructions.certify``, the pipeline's own function, and compared
-field by field.
+The verifier trusts nothing in the file beyond the family, G, X, Y and
+the maps f and g: m, H, its embeddings and parts, the chi values, the
+homology profiles, the Z_2 flags and the verdict are all derived again,
+H by ``constructions.certify``, the pipeline's own function, and
+compared field by field.
 """
 
 from __future__ import annotations
@@ -164,13 +164,14 @@ def verify_certificate(
     cell_cap: int = DEFAULT_CELL_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[str]:
-    """Derive every claim with ``certify`` from the file's G, X, Y, f, g
-    and m, and compare the file's fields with the result; returns the
-    failing fields.  The structural route's argument holds only for the
-    glued H, so the file's H, maps and parts are compared with the glued
-    ones and nothing is computed on them."""
+    """Derive every claim with ``certify`` from the file's G, X, Y, f
+    and g and the family's m, and compare the file's fields with the
+    result; returns the failing fields.  The structural route's argument
+    holds only for the glued H, so the file's m, H, maps and parts are
+    compared with the derived ones and nothing is computed on them."""
     problems: list[str] = []
-    if cert.m != uniformly_small_m([t.graph for t in cert.family]):
+    m = uniformly_small_m([t.graph for t in cert.family])
+    if cert.m != m:
         problems.append("m")
     looped = cert.g.has_loop()
     if not looped and (cert.x is None or cert.y is None):
@@ -186,7 +187,7 @@ def verify_certificate(
     fields = (h_field, "maps.embedX", "maps.embedG", "parts")
     try:
         ours = certify(
-            cert.family, cert.n, cert.m, cert.seed, cert.g, cert.x, cert.y,
+            cert.family, cert.n, m, cert.seed, cert.g, cert.x, cert.y,
             cert.f, cert.gmap, cell_cap, node_budget, skip,
         )
     except InvalidParameterError:  # X, Y, f, g and m glue to no H

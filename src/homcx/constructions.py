@@ -12,13 +12,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .builders import complete_graph, cycle_graph, high_girth_library
+from .builders import cycle_graph, high_girth_library
 from .coloring import DEFAULT_NODE_BUDGET, chromatic_number
 from .errors import (
     BipartiteInputError,
     DisconnectedGraphError,
     GraphFormatError,
-    HypothesisViolatedError,
     InvalidParameterError,
     NotFoundWithinBudgetError,
     ResourceLimitError,
@@ -40,132 +39,6 @@ from .homs import (
     enumerate_cells,
     pushforward,
 )
-
-
-# -- edge subdivision ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubdivisionStep:
-    """One length-3 replacement of an edge <v,w> with the retraction back."""
-
-    before: Graph
-    edge: tuple[int, int]
-    after: Graph
-    retraction: GraphHom
-
-
-def subdivide_edge(g: Graph, e: Sequence[int]) -> SubdivisionStep:
-    """Replace the edge e = <v,w> by a length-3 path through two new
-    vertices; the retraction folds the path back onto the edge."""
-    v, w = e
-    if v == w:
-        raise InvalidParameterError("cannot subdivide a loop")
-    if not g.has_edge(v, w):
-        raise InvalidParameterError(f"no edge ({v},{w})")
-    zero_end, one_end = g.n, g.n + 1
-    edges = [pair for pair in g.edges if pair != (min(v, w), max(v, w))]
-    edges.extend([(zero_end, one_end), (zero_end, v), (one_end, w)])
-    after = Graph(g.n + 2, edges)
-    mapping = list(range(g.n)) + [w, v]
-    return SubdivisionStep(
-        before=g,
-        edge=(v, w),
-        after=after,
-        retraction=GraphHom(after, g, mapping),
-    )
-
-
-@dataclass(frozen=True)
-class Prop32Result:
-    holds: bool
-    witness: Optional[tuple[int, int, int, int]]  # a length-3 walk v..w
-
-
-def prop32_hypothesis(g: Graph, e: Sequence[int]) -> Prop32Result:
-    """True iff g minus the edge <v,w> has no walk of length exactly 3
-    from v to w; otherwise the lexicographically first witness walk."""
-    v, w = e
-    if not g.has_edge(v, w):
-        raise InvalidParameterError(f"no edge ({v},{w})")
-    stripped = g.delete_edge(v, w)
-    adj = stripped.adjacency
-    for x in sorted(adj[v]):
-        for y in sorted(adj[x]):
-            if stripped.has_edge(y, w):
-                return Prop32Result(False, (v, x, y, w))
-    return Prop32Result(True, None)
-
-
-@dataclass(frozen=True)
-class FiberReport:
-    """Fibers of the retraction's pushforward on box complexes."""
-
-    fiber_i: tuple
-    fiber_j: tuple
-    zigzags_ok: bool
-    disjoint: bool
-    surjective: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.zigzags_ok and self.disjoint and self.surjective
-
-
-def _is_zigzag(cells) -> bool:
-    """Five cells: three minimal, two one-dimensional, comparabilities
-    forming a path (the Hasse diagram of an interval)."""
-    if len(cells) != 5:
-        return False
-    dims = sorted(c.dim for c in cells)
-    if dims != [0, 0, 0, 1, 1]:
-        return False
-    lows = [c for c in cells if c.dim == 0]
-    highs = [c for c in cells if c.dim == 1]
-    degree = {id(c): 0 for c in lows}
-    for h in highs:
-        faces = [c for c in lows if c.is_face_of(h)]
-        if len(faces) != 2:
-            return False
-        for c in faces:
-            degree[id(c)] += 1
-    # a path: middle vertex covered twice, ends once
-    return sorted(degree.values()) == [1, 1, 2]
-
-
-def fiber_certificate(
-    step: SubdivisionStep, cap: int = DEFAULT_CELL_CAP
-) -> FiberReport:
-    """Check that the box-complex pushforward of the retraction has
-    singleton fibers except for two disjoint 5-cell intervals over
-    ({v},{w}) and ({w},{v})."""
-    if not prop32_hypothesis(step.before, step.edge).holds:
-        raise HypothesisViolatedError(
-            f"length-3 walk exists around edge {step.edge}"
-        )
-    pf = pushforward(step.retraction, complete_graph(2), cap=cap)
-    target = pf.target
-    v, w = step.edge
-    i_vw = target.index[(1 << v, 1 << w)]
-    i_wv = target.index[(1 << w, 1 << v)]
-    fibers = pf.fibers()
-    ok = all(
-        len(srcs) == 1 for j, srcs in fibers.items() if j not in (i_vw, i_wv)
-    )
-    surjective = all(len(srcs) >= 1 for srcs in fibers.values())
-    fiber_i = tuple(pf.source.cells[s] for s in fibers[i_vw])
-    fiber_j = tuple(pf.source.cells[s] for s in fibers[i_wv])
-    zig = ok and _is_zigzag(fiber_i) and _is_zigzag(fiber_j)
-    disjoint = not (
-        {c.assignment for c in fiber_i} & {c.assignment for c in fiber_j}
-    )
-    return FiberReport(
-        fiber_i=fiber_i,
-        fiber_j=fiber_j,
-        zigzags_ok=zig,
-        disjoint=disjoint,
-        surjective=surjective,
-    )
 
 
 # -- path replacement and the cylinder -----------------------------------
@@ -418,12 +291,11 @@ def find_high_girth_high_chromatic(
     if n <= 2:
         cyc = cycle_graph(m if m % 2 else m + 1)
         return _verified(cyc, n, m, node_budget)
-    for _, _, lib_girth, graph in high_girth_library():
-        if lib_girth >= m:
-            try:
-                return _verified(graph, n, m, node_budget)
-            except NotFoundWithinBudgetError:
-                continue
+    for graph in high_girth_library():
+        try:
+            return _verified(graph, n, m, node_budget)
+        except NotFoundWithinBudgetError:
+            continue
     raise NotFoundWithinBudgetError(
         f"no verified graph with chi > {n} and girth >= {m} found"
     )

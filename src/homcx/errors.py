@@ -25,10 +25,6 @@ class NotAnInvolutionError(HomcxError, ValueError):
     """The supplied self-map is not an involution."""
 
 
-class HypothesisViolatedError(HomcxError, ValueError):
-    """A proposition's hypothesis fails for the given instance."""
-
-
 class BipartiteInputError(HomcxError, ValueError):
     """The construction pipeline needs a non-bipartite input graph."""
 

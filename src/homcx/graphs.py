@@ -103,19 +103,10 @@ class Graph:
             cached = self.__dict__["_loops"]
         return cached
 
-    def is_simple(self) -> bool:
-        return not self.has_loop()
-
     def edge_count(self) -> int:
         return len(self.edges)
 
     # -- derived graphs -----------------------------------------------
-
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        e = _norm_edge(u, v)
-        if e not in self.edges:
-            raise InvalidParameterError(f"no edge {e}")
-        return Graph(self.n, self.edges - {e})
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is ``vertices[i]``."""
@@ -201,9 +192,6 @@ class GraphHom:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "mapping", mapping)
-
-    def __call__(self, v: int) -> int:
-        return self.mapping[v]
 
     def compose(self, inner: "GraphHom") -> "GraphHom":
         """self o inner."""

@@ -55,17 +55,6 @@ class MultiHom:
     def dim(self) -> int:
         return sum(len(s) - 1 for s in self.assignment)
 
-    def is_face_of(self, other: "MultiHom") -> bool:
-        return all(
-            set(a) <= set(b)
-            for a, b in zip(self.assignment, other.assignment)
-        )
-
-    def to_hom(self) -> GraphHom:
-        if self.dim != 0:
-            raise InvalidParameterError("only dimension-0 cells are maps")
-        return GraphHom(self.source, self.target, tuple(s[0] for s in self.assignment))
-
 
 def _vertices(mask: int) -> tuple[int, ...]:
     """The vertices of a bitmask, in increasing order."""
@@ -321,12 +310,6 @@ class CellMap:
     target: HomComplex
     images: tuple[int, ...]
 
-    def fibers(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {j: [] for j in range(len(self.target))}
-        for i, j in enumerate(self.images):
-            out[j].append(i)
-        return out
-
     def compose(self, inner: "CellMap") -> "CellMap":
         if inner.target is not self.source and inner.target.index != self.source.index:
             raise InvalidParameterError("cell maps not composable")
@@ -474,7 +457,6 @@ class Z2Report:
     cell map by construction, so only freeness is recorded.
     """
 
-    flipping: bool
     free: bool
     action: CellMap
 
@@ -493,7 +475,6 @@ def z2_structure(
         k = enumerate_cells(t, g, cap=cap)
     action = pullback(alpha.map, g, source_complex=k, target_complex=k)
     return Z2Report(
-        flipping=alpha.flipping,
         free=all(i != j for i, j in enumerate(action.images)),
         action=action,
     )

@@ -1,24 +1,88 @@
 """Enumerating oracles for claims that homcx proves structurally or on
 cellular chains, the coloring search that the homomorphism search
-replaced, and graph surgery that only the tests use."""
+replaced, and graph surgery that only the tests use, with the fiber check
+of Prop. 3.2 for subdividing an edge."""
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from homcx.builders import complete_graph
 from homcx.errors import InvalidParameterError, ResourceLimitError
-from homcx.graphs import Graph, is_bipartite
+from homcx.graphs import Graph, GraphHom, is_bipartite
 from homcx.homology import (
     DEFAULT_CHAIN_BUDGET,
     ChainComplex,
     OrderComplex,
     homology,
 )
-from homcx.homs import CellMap, DEFAULT_CELL_CAP, _hom_mappings, enumerate_cells
+from homcx.homs import (
+    CellMap,
+    DEFAULT_CELL_CAP,
+    _hom_mappings,
+    enumerate_cells,
+    pushforward,
+)
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Induced subgraph on V \\ {v}, relabeled densely."""
     return g.induced([u for u in range(g.n) if u != v])
+
+
+def subdivide_edge(g: Graph, v: int, w: int) -> tuple[Graph, GraphHom]:
+    """g with the edge vw replaced by the path v, n, n + 1, w through two
+    new vertices, and the retraction that folds the path back onto vw
+    (which is no graph map when vw is not an edge)."""
+    edges = [e for e in g.edges if e != (min(v, w), max(v, w))]
+    edges += [(g.n, g.n + 1), (g.n, v), (g.n + 1, w)]
+    after = Graph(g.n + 2, edges)
+    return after, GraphHom(after, g, list(range(g.n)) + [w, v])
+
+
+def length3_walk(g: Graph, v: int, w: int) -> Optional[tuple[int, ...]]:
+    """The least walk v, x, y, w in g minus the edge vw, or None; Prop.
+    3.2's hypothesis for subdividing vw is that there is none."""
+    def adjacent(a: int, b: int) -> bool:
+        return {a, b} != {v, w} and g.has_edge(a, b)
+
+    for x in sorted(g.adjacency[v]):
+        for y in sorted(g.adjacency[x]):
+            if adjacent(v, x) and adjacent(x, y) and adjacent(y, w):
+                return (v, x, y, w)
+    return None
+
+
+def subdivision_fibers_ok(g: Graph, v: int, w: int) -> bool:
+    """Whether the retraction of ``subdivide_edge(g, v, w)`` pushes the
+    box complex Hom(K_2, after) onto Hom(K_2, g) with one cell over each
+    cell except ({v},{w}) and ({w},{v}), and over each of those two a
+    5-cell zigzag: three vertices joined into a path by two edges."""
+    pf = pushforward(subdivide_edge(g, v, w)[1], complete_graph(2))
+    fibers: list[list[tuple[int, ...]]] = [[] for _ in range(len(pf.target))]
+    for masks, j in zip(pf.source.masks, pf.images):
+        fibers[j].append(masks)
+    index = pf.target.index
+    ends = (index[(1 << v, 1 << w)], index[(1 << w, 1 << v)])
+    return all(
+        _is_zigzag(fiber) if j in ends else len(fiber) == 1
+        for j, fiber in enumerate(fibers)
+    )
+
+
+def _is_zigzag(cells: list[tuple[int, ...]]) -> bool:
+    lows = [c for c in cells if sum(map(int.bit_count, c)) == 2]
+    highs = [c for c in cells if sum(map(int.bit_count, c)) == 3]
+    faces = [
+        [i for i, c in enumerate(lows) if not any(a & ~b for a, b in zip(c, h))]
+        for h in highs
+    ]
+    degrees = sorted(sum(i in f for f in faces) for i in range(len(lows)))
+    return (
+        len(cells) == 5
+        and len(highs) == 2
+        and all(len(f) == 2 for f in faces)
+        and degrees == [1, 1, 2]
+    )
 
 
 def mycielskian(g: Graph) -> Graph:

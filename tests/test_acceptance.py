@@ -28,9 +28,6 @@ from homcx.coloring import chromatic_number
 from homcx.constructions import (
     FamilyMember,
     certificate_json,
-    fiber_certificate,
-    prop32_hypothesis,
-    subdivide_edge,
     theorem51_pipeline,
 )
 from homcx.errors import ResourceLimitError
@@ -49,7 +46,13 @@ from homcx.homs import (
     x_homotopy_classes,
     z2_structure,
 )
-from oracles import covering_split, delete_vertex
+from oracles import (
+    covering_split,
+    delete_vertex,
+    length3_walk,
+    subdivide_edge,
+    subdivision_fibers_ok,
+)
 
 K2 = complete_graph(2)
 
@@ -108,11 +111,15 @@ def test_criterion_2_walker_example():
         assert z2_structure(K2, swap, g1).free
         assert z2_structure(K2, swap, g2).free
         # subdividing the bottom edge of g1 produces g2 exactly
-        step = subdivide_edge(g1, (0, 6))
-        assert step.after == g2
-        report = fiber_certificate(step)
-        assert report.ok
-        assert len(report.fiber_i) == 5 and len(report.fiber_j) == 5
+        after, _ = subdivide_edge(g1, 0, 6)
+        assert after == g2
+        assert length3_walk(g1, 0, 6) is None
+        # singleton fibers but two, which are 5-cell zigzags
+        assert subdivision_fibers_ok(g1, 0, 6)
+
+
+def _delete_edge(g, u, v):
+    return Graph(g.n, g.edges - {(u, v)})
 
 
 def _girth5_random_graph(rng, n):
@@ -127,12 +134,12 @@ def _girth5_random_graph(rng, n):
         while girth(g) < 5:
             # delete one edge of some shortest cycle
             for u, v in sorted(g.edges):
-                if girth(g.delete_edge(u, v)) > girth(g):
-                    g = g.delete_edge(u, v)
+                if girth(_delete_edge(g, u, v)) > girth(g):
+                    g = _delete_edge(g, u, v)
                     break
             else:
                 u, v = sorted(g.edges)[0]
-                g = g.delete_edge(u, v)
+                g = _delete_edge(g, u, v)
         if g.edge_count() >= 3:
             return g
 
@@ -145,17 +152,17 @@ def test_criterion_3_prop32_positive_suite():
         for g in graphs:
             base = profile(K2, g)
             for e in sorted(g.edges):
-                assert prop32_hypothesis(g, e).holds
-                step = subdivide_edge(g, e)
-                assert profile(K2, step.after).betti == base.betti
-                assert induced_map_homology(step.retraction, K2)
+                assert length3_walk(g, *e) is None
+                after, retraction = subdivide_edge(g, *e)
+                assert profile(K2, after).betti == base.betti
+                assert induced_map_homology(retraction, K2)
 
 
 def test_criterion_4_negative_control():
     with criterion(4, "negative control"):
         c4 = cycle_graph(4)
         for e in sorted(c4.edges):
-            assert not prop32_hypothesis(c4, e).holds
+            assert length3_walk(c4, *e) is not None
         assert profile(K2, cycle_graph(6)).betti != profile(K2, c4).betti
 
 
@@ -281,7 +288,8 @@ def _poset_component_partition(t, g):
             parent[find(i)] = find(j)
     groups = {}
     for i in k.cells_of_dim(0):
-        groups.setdefault(find(i), set()).add(k.cells[i].to_hom().mapping)
+        vertices = tuple(m.bit_length() - 1 for m in k.masks[i])
+        groups.setdefault(find(i), set()).add(vertices)
     return {frozenset(s) for s in groups.values()}
 
 

@@ -473,6 +473,19 @@ def test_verify_rebuilds_the_glued_graph_and_its_maps(glued_cert_text, monkeypat
         assert built and max(built) < h_n
 
 
+@pytest.mark.parametrize("m", [12, 10**6])
+def test_verify_glues_h_with_the_recomputed_m(tmp_path, capsys, glued_cert_text, m):
+    # gluing with the file's m would build a cylinder of m - 1 levels
+    # and report the glued graph and its maps as tampered too
+    obj = json.loads(glued_cert_text)
+    obj["m"] = m
+    assert verify_certificate(load_certificate(json.dumps(obj))) == ["m"]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 5
+    assert capsys.readouterr().out == "FAIL m\n"
+
+
 def test_verify_takes_unverified_claims_without_building_them(
     glued_cert_text, monkeypatch
 ):

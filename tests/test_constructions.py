@@ -1,9 +1,11 @@
 """Subdivision, path replacement, gluing, and the full pipeline."""
 
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homcx.builders import (
     chi4_girth5_graph,
@@ -16,13 +18,10 @@ from homcx.constructions import (
     FamilyMember,
     certificate_json,
     cylinder_sweep_order,
-    fiber_certificate,
     find_high_girth_high_chromatic,
     glue_cylinder,
-    prop32_hypothesis,
     replace_edges_with_paths,
     shortest_odd_cycle,
-    subdivide_edge,
     theorem51_pipeline,
     uniformly_small_m,
 )
@@ -34,9 +33,14 @@ from homcx.errors import (
     NotFoundWithinBudgetError,
 )
 from homcx.graphs import Graph, GraphHom, girth, odd_girth
-from homcx.homology import cellular_chain_complex, homology
+from homcx.homology import cellular_chain_complex, homology, induced_map_homology
 from homcx.homs import enumerate_cells, enumerate_homs
-from oracles import covering_split
+from oracles import (
+    covering_split,
+    length3_walk,
+    subdivide_edge,
+    subdivision_fibers_ok,
+)
 
 
 def box_profile(g):
@@ -46,33 +50,34 @@ def box_profile(g):
 
 def test_subdivide_edge_shape_and_retraction():
     g = cycle_graph(5)
-    step = subdivide_edge(g, (0, 1))
-    assert step.after.n == 7
-    assert step.after.edge_count() == g.edge_count() + 2
-    assert not step.after.has_edge(0, 1)
+    after, retraction = subdivide_edge(g, 0, 1)
+    assert after.n == 7
+    assert after.edge_count() == g.edge_count() + 2
+    assert not after.has_edge(0, 1)
     # the retraction is a graph homomorphism onto g by construction
-    assert step.retraction.codomain == g
+    assert retraction.codomain == g
 
 
 def test_subdivide_rejects_missing_edge():
+    # the fold of the path onto a non-edge is no graph map
     with pytest.raises(InvalidParameterError):
-        subdivide_edge(cycle_graph(5), (0, 2))
+        subdivide_edge(cycle_graph(5), 0, 2)
 
 
 def test_prop32_positive_on_girth_five():
     for g in (cycle_graph(5), cycle_graph(7), petersen_graph()):
         for e in sorted(g.edges):
-            assert prop32_hypothesis(g, e).holds
+            assert length3_walk(g, *e) is None
 
 
 def test_prop32_negative_on_c4():
     c4 = cycle_graph(4)
     for e in sorted(c4.edges):
-        res = prop32_hypothesis(c4, e)
-        assert not res.holds
-        v, x, y, w = res.witness
+        walk = length3_walk(c4, *e)
+        assert walk is not None
+        v, x, y, w = walk
         assert (v, w) == e
-        stripped = c4.delete_edge(*e)
+        stripped = Graph(c4.n, c4.edges - {e})
         assert stripped.has_edge(v, x)
         assert stripped.has_edge(x, y)
         assert stripped.has_edge(y, w)
@@ -80,16 +85,33 @@ def test_prop32_negative_on_c4():
 
 def test_subdivision_preserves_box_betti():
     g = cycle_graph(5)
-    step = subdivide_edge(g, (1, 2))
-    assert box_profile(step.after) == box_profile(g)
+    after, _ = subdivide_edge(g, 1, 2)
+    assert box_profile(after) == box_profile(g)
 
 
 def test_fiber_certificate_zigzags():
-    step = subdivide_edge(cycle_graph(5), (0, 1))
-    report = fiber_certificate(step)
-    assert report.ok
-    assert len(report.fiber_i) == 5 and len(report.fiber_j) == 5
-    assert report.disjoint and report.surjective
+    # one box cell over each cell but two, and a 5-cell zigzag over each
+    # of ({0},{1}) and ({1},{0}); two fibers are disjoint by definition
+    assert subdivision_fibers_ok(cycle_graph(5), 0, 1)
+
+
+@st.composite
+def loopless_graphs(draw, max_n=8):
+    n = draw(st.integers(2, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, draw(st.sets(st.sampled_from(pairs))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(loopless_graphs())
+def test_subdivision_fibers_and_retraction_on_random_graphs(g):
+    # girth 3 and 4 graphs included: only the edges without a length-3
+    # walk around them meet Prop. 3.2's hypothesis
+    for v, w in sorted(g.edges):
+        if length3_walk(g, v, w) is None:
+            assert subdivision_fibers_ok(g, v, w)
+            _, retraction = subdivide_edge(g, v, w)
+            assert induced_map_homology(retraction, complete_graph(2))
 
 
 def test_replace_edges_with_paths_structure():
