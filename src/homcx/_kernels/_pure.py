@@ -25,52 +25,68 @@ def search_homs(next_adj, t_loop, g_adj, g_loop_mask, n_g, cap, budget=None):
     looped targets.
 
     ``budget``, when given, is the coloring node budget as a one-element
-    countdown: each call that still has a position to assign spends one
-    node, and a spent budget raises ResourceLimitError.
+    countdown: each step down to a position to assign spends one node,
+    and a spent budget raises ResourceLimitError.  The search keeps its
+    own stack, one level per position, so a deep source needs no Python
+    recursion.
 
     Returns a list of assignment tuples (by position), or None if more
     than ``cap`` maps exist.
     """
     n_t = len(t_loop)
+    if n_t == 0:
+        # one map, the empty one, and no position to assign
+        return [()] if cap >= 1 else None
     full = (1 << n_g) - 1
     domains = [g_loop_mask if t_loop[i] else full for i in range(n_t)]
     assignment = [0] * n_t
     results = []
-
-    def rec(i):
-        if i == n_t:
-            results.append(tuple(assignment))
-            return len(results) <= cap
+    # per position: the values not yet tried there, and the domains the
+    # value being tried narrowed, with their old values
+    untried = [0] * n_t
+    saved = [[] for _ in range(n_t)]
+    last = n_t - 1
+    i = 0
+    while True:
+        # entering position i: one node, then try its values in turn
         if budget is not None:
             budget[0] -= 1
             if budget[0] < 0:
                 raise ResourceLimitError("coloring node budget exceeded")
-        mask = domains[i]
-        while mask:
+        untried[i] = domains[i]
+        saved[i] = []
+        while True:
+            for j, old in saved[i]:
+                domains[j] = old
+            mask = untried[i]
+            if not mask:
+                if i == 0:
+                    return results
+                i -= 1
+                continue
             low = mask & -mask
-            mask ^= low
+            untried[i] = mask ^ low
             x = low.bit_length() - 1
             assignment[i] = x
-            saved = []
+            narrowed = saved[i] = []
             ok = True
             for j in next_adj[i]:
                 old = domains[j]
                 new = old & g_adj[x]
                 if new != old:
-                    saved.append((j, old))
+                    narrowed.append((j, old))
                     domains[j] = new
                     if new == 0:
                         ok = False
                         break
-            if ok and not rec(i + 1):
-                return False
-            for j, old in saved:
-                domains[j] = old
-        return True
-
-    if not rec(0):
-        return None
-    return results
+            if not ok:
+                continue
+            if i < last:
+                i += 1
+                break
+            results.append(tuple(assignment))
+            if len(results) > cap:
+                return None
 
 
 def snf_diagonal(columns, nrows):

@@ -131,17 +131,23 @@ def cmd_hom(args) -> int:
             print("cells:", len(k))
             for d, c in enumerate(counts):
                 print(f"  dim {d}: {c}")
+    classes = None
     if args.homology or show_all:
         if len(k) == 0:
             print("homology: empty")
+            classes = 0
         else:
             profile = homology(cellular_chain_complex(k))
             print("betti:", list(profile.betti))
             print(
                 "torsion:", [list(tor) for tor in profile.torsion]
             )
+            # the classes are the components of the 1-skeleton, so b0
+            classes = profile.betti[0]
     if args.classes or show_all:
-        print("x-homotopy classes:", _class_count(k))
+        if classes is None:
+            classes = _class_count(k)
+        print("x-homotopy classes:", classes)
     return EXIT_OK
 
 

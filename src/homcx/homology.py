@@ -118,11 +118,10 @@ def cellular_chain_complex(k: HomComplex) -> ChainComplex:
     if top < 0:
         return ChainComplex((), ())
     index, offsets = k.index, k.offsets
-    # each cell's index within its dimension, one shared int per cell
-    local = [j for a, b in zip(offsets, offsets[1:]) for j in range(b - a)]
     drops: dict[int, list[int]] = {}  # mask -> its masks one vertex smaller
     boundaries = [[{} for _ in range(offsets[1])]]
     for d in range(1, top + 1):
+        base = offsets[d - 1]  # faces are numbered within dimension d - 1
         cols = []
         for masks in k.masks[offsets[d]:offsets[d + 1]]:
             cell = list(masks)
@@ -137,7 +136,7 @@ def cellular_chain_complex(k: HomComplex) -> ChainComplex:
                 sign = -1 if shift & 1 else 1
                 for face in smaller:
                     cell[v] = face
-                    col[local[index[tuple(cell)]]] = sign
+                    col[index[tuple(cell)] - base] = sign
                     sign = -sign
                 cell[v] = m
                 shift += len(smaller) - 1
@@ -181,15 +180,21 @@ class OrderComplex:
 
     def __init__(self, k: HomComplex, budget: int = DEFAULT_CHAIN_BUDGET):
         self.complex = k
-        masks = k.masks
         n = len(k)
-        successors: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            mi = masks[i]
+        # each cell's masks side by side in one int, target.n bits per
+        # source vertex, so that face inclusion is one bitwise test
+        width = k.target.n
+        packed = []
+        for masks in k.masks:
+            p = 0
+            for m in reversed(masks):
+                p = p << width | m
+            packed.append(p)
+        successors: list[list[int]] = []
+        for p, d in zip(packed, k.dim_of):
             # cells are sorted by dimension: the candidates start at the next one
-            for j in range(k.offsets[k.dim_of[i] + 1], n):
-                if not any(a & ~b for a, b in zip(mi, masks[j])):
-                    successors[i].append(j)
+            start = k.offsets[d + 1]
+            successors.append([j for j in range(start, n) if not p & ~packed[j]])
         simplices: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]
         count = n
         frontier = simplices[0]

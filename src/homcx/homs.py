@@ -293,6 +293,8 @@ def enumerate_cells(
                     break
                 c = common.get(masks[u])
                 candidates &= common_of(masks[u]) if c is None else c
+            if not candidates:
+                continue
             head, m, tail = masks[:v], masks[v], masks[v + 1:]
             while candidates:
                 low = candidates & -candidates

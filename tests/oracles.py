@@ -1,7 +1,8 @@
 """Enumerating oracles for claims that homcx proves structurally or on
 cellular chains, the coloring search that the homomorphism search
-replaced, and graph surgery that only the tests use, with the fiber check
-of Prop. 3.2 for subdividing an edge."""
+replaced, the recursive form of that homomorphism search, and graph
+surgery that only the tests use, with the fiber check of Prop. 3.2 for
+subdividing an edge."""
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -150,6 +151,55 @@ def reference_ordered_k_coloring(
             colors[v] = assign[i]
         return colors
     return None
+
+
+def reference_search_homs(
+    next_adj, t_loop, g_adj, g_loop_mask, n_g, cap, budget=None
+):
+    """The recursive forward-checked homomorphism search that the
+    kernel's explicit-stack search replaced, kept as its oracle: the same
+    arguments, result, visit order, cap rule and node budget rule (one
+    node per call that still has a position to assign)."""
+    n_t = len(t_loop)
+    full = (1 << n_g) - 1
+    domains = [g_loop_mask if t_loop[i] else full for i in range(n_t)]
+    assignment = [0] * n_t
+    results = []
+
+    def rec(i):
+        if i == n_t:
+            results.append(tuple(assignment))
+            return len(results) <= cap
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise ResourceLimitError("coloring node budget exceeded")
+        mask = domains[i]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            x = low.bit_length() - 1
+            assignment[i] = x
+            saved = []
+            ok = True
+            for j in next_adj[i]:
+                old = domains[j]
+                new = old & g_adj[x]
+                if new != old:
+                    saved.append((j, old))
+                    domains[j] = new
+                    if new == 0:
+                        ok = False
+                        break
+            if ok and not rec(i + 1):
+                return False
+            for j, old in saved:
+                domains[j] = old
+        return True
+
+    if not rec(0):
+        return None
+    return results
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import stat
 
 import pytest
 
-from homcx.builders import complete_graph, cycle_graph
+from homcx.builders import complete_graph, cycle_graph, path_graph, petersen_graph
 from homcx.certs import load_certificate, verify_certificate
 from homcx.cli import main
 from homcx.constructions import (
@@ -98,6 +98,56 @@ def test_cli_hom_all_sections(tmp_path, capsys):
     assert "cells: 20" in out
     assert "betti:" in out
     assert "x-homotopy classes: 1" in out
+
+
+# W5 is the wheel: a hub (vertex 5) joined to every vertex of C5
+_WHEEL5 = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+PINNED_HOM_SOURCES = {
+    "K2": complete_graph(2),
+    "P3": path_graph(3),
+    "C4": cycle_graph(4),
+    "C5": cycle_graph(5),
+    "K3": complete_graph(3),
+    "looped K2": Graph(2, [(0, 0), (0, 1), (1, 1)]),
+}
+PINNED_HOM_TARGETS = {
+    "C5": cycle_graph(5),
+    "C7": cycle_graph(7),
+    "K4": complete_graph(4),
+    "W5": _WHEEL5,
+    "Petersen": petersen_graph(),
+    "looped P3": Graph(4, [(0, 1), (1, 2), (2, 3), (0, 0), (1, 1), (2, 2), (3, 3)]),
+}
+PINNED_HOM_FLAGS = ([], ["--homology", "--classes"], ["--classes"], ["--cells", "--classes"])
+
+
+def test_cli_hom_output_is_pinned(tmp_path, capsys):
+    # exit codes and stdout of homcx hom on 36 pairs under four flag sets,
+    # measured before the class count was read from b0; any change to
+    # what homcx hom prints on these inputs changes the digest
+    digest = hashlib.sha256()
+    for t in PINNED_HOM_SOURCES.values():
+        t_path = graph_file(tmp_path, "t.json", t)
+        for g in PINNED_HOM_TARGETS.values():
+            g_path = graph_file(tmp_path, "g.json", g)
+            for flags in PINNED_HOM_FLAGS:
+                code = main(["hom", t_path, g_path, *flags])
+                digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == (
+        "bdfc3b1d2e89858e2167a356063fc841bf261b7a624e463b233d06c52f98faa4"
+    )
+
+
+def test_cli_hom_on_a_deep_source(tmp_path, capsys):
+    # the search assigns 1,201 positions, deeper than Python's default
+    # recursion limit
+    t = graph_file(tmp_path, "p1200.json", path_graph(1200))
+    g = graph_file(tmp_path, "k2.json", complete_graph(2))
+    assert main(["hom", t, g]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "cells: 2" in out
+    assert "betti: [2]" in out
+    assert "x-homotopy classes: 2" in out
 
 
 def test_cli_hom_parse_error(tmp_path, capsys):

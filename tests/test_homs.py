@@ -258,19 +258,26 @@ def _face_poset_components(k):
     return len({find(i) for i in range(len(k))})
 
 
-def _printed_class_count(t, g):
+def _printed_class_counts(t, g):
+    """The class count that ``homcx hom`` prints with ``--classes`` alone,
+    with the default output and with ``--homology --classes``: the first
+    from the components of the 1-skeleton, the other two from b0."""
+    counts = []
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for name, graph in (("t", t), ("g", g)):
             paths.append(os.path.join(tmp, f"{name}.json"))
             with open(paths[-1], "w") as fh:
                 fh.write(graph.to_json())
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["hom", *paths, "--classes"]) == 0
-    prefix = "x-homotopy classes: "
-    assert out.getvalue().startswith(prefix)
-    return int(out.getvalue()[len(prefix):])
+        for flags in (["--classes"], [], ["--homology", "--classes"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["hom", *paths, *flags]) == 0
+            prefix = "x-homotopy classes: "
+            last = out.getvalue().splitlines()[-1]
+            assert last.startswith(prefix)
+            counts.append(int(last[len(prefix):]))
+    return counts
 
 
 @settings(max_examples=100, deadline=None)
@@ -289,7 +296,8 @@ def test_classes_are_components_of_the_one_skeleton(t, g):
         f.mapping for f in enumerate_homs(t, g)
     ]
     classes = len(x_homotopy_classes(t, g))
-    assert _printed_class_count(t, g) == classes == _face_poset_components(k)
+    assert classes == _face_poset_components(k)
+    assert _printed_class_counts(t, g) == [classes] * 3
 
 
 def test_involution_flipping_flag():

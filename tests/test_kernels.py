@@ -24,6 +24,7 @@ from homcx.homology import (
     homology,
 )
 from homcx.homs import _hom_mappings, enumerate_cells
+from oracles import reference_search_homs
 
 non_units = st.integers(-9, 9).filter(lambda v: v not in (1, -1))
 # lists of rows, at most 5 x 5
@@ -70,6 +71,45 @@ def test_search_homs_returns_none_past_cap():
     assert search_homs(*args, 0) is None
     with pytest.raises(ResourceLimitError):
         _hom_mappings(Graph(0, []), complete_graph(2), cap=0)
+
+
+@st.composite
+def search_instances(draw):
+    """Kernel arguments of a homomorphism search, less the cap and the
+    budget: a source of at most 6 positions and a target of at most 6
+    vertices, both with loops allowed."""
+    n_t = draw(st.integers(0, 6))
+    next_adj = [
+        draw(st.lists(st.integers(i + 1, n_t - 1), unique=True)) if i + 1 < n_t else []
+        for i in range(n_t)
+    ]
+    t_loop = draw(st.lists(st.booleans(), min_size=n_t, max_size=n_t))
+    n_g = draw(st.integers(0, 6))
+    g_adj = [0] * n_g
+    for x, y in itertools.combinations_with_replacement(range(n_g), 2):
+        if draw(st.booleans()):
+            g_adj[x] |= 1 << y
+            g_adj[y] |= 1 << x
+    g_loop_mask = sum(1 << x for x in range(n_g) if g_adj[x] >> x & 1)
+    return next_adj, t_loop, g_adj, g_loop_mask, n_g
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    search_instances(),
+    st.sampled_from([0, 1, 3, 10**7]),
+    st.none() | st.integers(0, 60) | st.integers(0, 10**6),
+)
+def test_search_homs_matches_recursive_reference(args, cap, nodes):
+    def run(search):
+        budget = None if nodes is None else [nodes]
+        try:
+            result = search(*args, cap, budget)
+        except ResourceLimitError:
+            result = "budget"
+        return result, budget
+
+    assert run(search_homs) == run(reference_search_homs)
 
 
 @settings(max_examples=200, deadline=None)
