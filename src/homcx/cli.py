@@ -135,7 +135,6 @@ def cmd_hom(args) -> int:
     if args.homology or show_all:
         if len(k) == 0:
             print("homology: empty")
-            classes = 0
         else:
             profile = homology(cellular_chain_complex(k))
             print("betti:", list(profile.betti))
@@ -146,7 +145,7 @@ def cmd_hom(args) -> int:
             classes = profile.betti[0]
     if args.classes or show_all:
         if classes is None:
-            classes = _class_count(k)
+            classes = _class_count(k)  # 0 for an empty complex
         print("x-homotopy classes:", classes)
     return EXIT_OK
 
